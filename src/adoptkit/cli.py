@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="coverage/type-I/power benchmark over a scenario grid")
     p.add_argument("--config", default=None, help="key = value grid file (# comments)")
     p.add_argument("--seed", type=int, default=0, help="master seed (config overrides)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (output-invariant)")
+    p.add_argument("--threads", type=int, default=1, help="accepted and ignored (output-invariant)")
     p.add_argument("--out", default=None, help="also write JSON to this path")
     p.add_argument("--out-csv", default=None, help="write per-scenario rows as CSV here")
     p.set_defaults(func=cmd_benchmark)

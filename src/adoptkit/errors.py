@@ -7,6 +7,8 @@ inputs. Everything derives from AdoptkitError.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class AdoptkitError(Exception):
     pass
@@ -18,6 +20,12 @@ class ValidationError(AdoptkitError, ValueError):
 
 class NumericalError(AdoptkitError, RuntimeError):
     """A numerically degenerate or failed computation on valid inputs."""
+
+
+# What a loop over fits or replicates counts as one failure and skips: the
+# package's own errors and numpy's numerical ones. Anything else is a bug and
+# propagates.
+RECOVERABLE = (AdoptkitError, np.linalg.LinAlgError, FloatingPointError)
 
 
 # -- estimation -------------------------------------------------------------

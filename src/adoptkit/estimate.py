@@ -19,6 +19,7 @@ from scipy.optimize import least_squares
 from . import curves
 from .curves import Family, ThetaTwoComp
 from .errors import (
+    RECOVERABLE,
     DegenerateDesign,
     DegenerateIdentification,
     InsufficientData,
@@ -204,7 +205,7 @@ def _init_candidates(family: Family, t: np.ndarray, y: np.ndarray) -> list[np.nd
             inner = fit_nls(TimeSeries(t, y), Family.LOGISTIC)
             base = inner.theta
             resid = inner.residuals
-        except Exception:
+        except RECOVERABLE:
             resid = y - _model(Family.LOGISTIC, t, base)
         # seed the bump on the smoothed residual extremum: the raw extremum
         # chases noise, which collapses the bump (s -> 0) into an
@@ -585,7 +586,7 @@ def prepost_delta_beta(
         try:
             bp = fit_nls(TimeSeries(pre.times, ypre), Family.TWO_COMP, init=fit_pre.theta)
             ba = fit_nls(TimeSeries(post.times, ypost), Family.TWO_COMP, init=fit_post.theta)
-        except Exception:
+        except RECOVERABLE:
             failed += 1
             continue
         pairs.append((bp.theta[3], ba.theta[3]))

@@ -18,7 +18,9 @@ import scipy.linalg
 from . import curves
 from .curves import ThetaTwoComp
 from .errors import (
+    RECOVERABLE,
     BinomialBoundary,
+    NonConvergence,
     PoissonBoundary,
     SingularNuisance,
     ValidationError,
@@ -313,11 +315,11 @@ def crlb_check(
 
     Simulates under ``em``, refits by estimate.fit_nls, and reports empirical
     Var(alpha_hat), Var(beta_hat) next to the bounds. Replicate seeds are
-    counter-based, so the result is a pure function of (inputs, seed)
-    regardless of thread count. Fit failures are counted, not fatal.
+    counter-based, so the result is a pure function of (inputs, seed).
+    ``threads`` is accepted and ignored (replicates run in one loop). Fit
+    failures are counted; fewer than 2 successful refits raise NonConvergence.
     """
     from . import estimate  # local import: estimate does not depend on fisher
-    from .parallel import indexed_map
 
     if replicates < 100:
         raise ValidationError("need at least 100 replicates")
@@ -329,12 +331,15 @@ def crlb_check(
         y = sample_observations(theta, times, em, rng)
         try:
             fit = estimate.fit_nls(estimate.TimeSeries(times, y), "twocomp")
-        except Exception:
+        except RECOVERABLE:
             return None
         return float(fit.theta[1]), float(fit.theta[3])
 
-    results = indexed_map(one, replicates, threads)
-    ok = [r for r in results if r is not None]
+    ok = [r for r in (one(i) for i in range(replicates)) if r is not None]
+    if len(ok) < 2:
+        raise NonConvergence(
+            f"{replicates - len(ok)}/{replicates} refits failed; need 2 for a variance"
+        )
     arr = np.asarray(ok)
     mc_var_alpha = float(np.var(arr[:, 0], ddof=1))
     mc_var_beta = float(np.var(arr[:, 1], ddof=1))

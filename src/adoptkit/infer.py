@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from . import curves, estimate
 from .curves import Family
@@ -130,93 +130,81 @@ def vuong(loglik_a, loglik_b, k_a: int, k_b: int) -> TestResult:
 # constrained LR: monotone vs trough within the two-component family
 # ---------------------------------------------------------------------------
 
-def _fit_monotone_constrained(series: estimate.TimeSeries, starts: list[np.ndarray]):
-    """Minimize SSE over the closure of the nondecreasing region
-    {alpha >= beta, beta*umax >= alpha*n0} in log coordinates."""
-    t, y = series.times, series.values
-
-    def sse(z):
-        theta = np.exp(np.clip(z, -30.0, 30.0))
-        e = estimate._model(Family.TWO_COMP, t, theta) - y
-        return float(e @ e)
-
-    def grad(z):
-        theta = np.exp(np.clip(z, -30.0, 30.0))
-        e = estimate._model(Family.TWO_COMP, t, theta) - y
-        J = estimate._jac_two_comp(t, theta) * theta
-        return 2.0 * J.T @ e
-
-    # constraints in z = log(n0, alpha, umax, beta)
-    def _e(x):
-        return np.exp(np.clip(x, -40.0, 40.0))
-
-    cons = [
-        {
-            "type": "ineq",
-            "fun": lambda z: _e(z[1]) - _e(z[3]),
-            "jac": lambda z: np.array([0.0, _e(z[1]), 0.0, -_e(z[3])]),
-        },
-        {
-            "type": "ineq",
-            "fun": lambda z: _e(z[3] + z[2]) - _e(z[1] + z[0]),
-            "jac": lambda z: np.array(
-                [-_e(z[1] + z[0]), -_e(z[1] + z[0]), _e(z[3] + z[2]), _e(z[3] + z[2])]
-            ),
-        },
-    ]
-    best = None
-    for x0 in starts:
-        z0 = np.log(np.maximum(np.asarray(x0, dtype=float), 1e-10))
-        res = minimize(
-            sse,
-            z0,
-            jac=grad,
-            method="SLSQP",
-            constraints=cons,
-            options={"maxiter": 300, "ftol": 1e-14},
-        )
-        if not np.all(np.isfinite(res.x)) or np.any(np.abs(res.x) > 40.0):
-            continue
-        theta = np.exp(res.x)
-        violation = max(theta[3] - theta[1], theta[1] * theta[0] - theta[3] * theta[2])
-        if violation > 1e-6 * max(1.0, theta[1]):
-            continue
-        val = sse(res.x)
-        if best is None or val < best[1]:
-            best = (theta, val)
-    if best is None:
-        raise NonConvergence("constrained fit failed from every start")
-    return best
+def _monotone_theta(w: np.ndarray) -> np.ndarray:
+    """Map box coordinates w = (log beta, d, log umax, s) to (n0, alpha, umax, beta)."""
+    beta, umax = np.exp(np.clip(w[[0, 2]], -40.0, 40.0))
+    alpha = beta + w[1]
+    return np.array([w[3] * beta * umax / alpha, alpha, umax, beta])
 
 
-def constrained_lr(series: estimate.TimeSeries) -> TestResult:
-    """Likelihood ratio of unconstrained vs monotone-constrained fits.
+def constrained_lr(
+    series: estimate.TimeSeries, fit: estimate.FitReport | None = None
+) -> TestResult:
+    """Likelihood ratio of the free two-component fit against the monotone region.
 
-    Lambda = n * log(SSE_constrained / SSE_unconstrained); the null places the
-    truth on the monotone boundary, so p comes from the 50:50 chi2_0 : chi2_1
-    mixture.
+    The monotone (nondecreasing) region {alpha >= beta, beta*umax >= alpha*n0}
+    is the image of the box d >= 0, 0 <= s <= 1 under alpha = beta + d,
+    n0 = s*beta*umax/alpha, so the constrained fit is one bounded
+    trust-region least-squares solve in w = (log beta, d, log umax, s),
+    started from the free fit projected onto the box, with the package's
+    two-component Jacobian chained through dtheta/dw. A free fit that is
+    already monotone gives Lambda = 0 with no solve.
+
+    Lambda = max(0, n * log(SSE_constrained / SSE_free)): the region is a
+    subset of the free model, so SSE_free <= SSE_constrained at the true
+    optima and a negative log-ratio only means the free fit stopped in a
+    worse local optimum. The null places the truth on the monotone boundary,
+    so p comes from the 50:50 chi2_0 : chi2_1 mixture.
+
+    ``fit`` is the free two-component fit of ``series`` when the caller
+    already has it (ValidationError for another family); the result is the
+    same as with ``fit=None``, which fits it here. Raises NonConvergence when
+    the bounded fit exhausts its evaluation budget.
     """
-    fit = estimate.fit_nls(series, Family.TWO_COMP)
-    theta_u = fit.theta
+    if fit is None:
+        fit = estimate.fit_nls(series, Family.TWO_COMP)
+    th = fit.theta_two_comp()
+    n0, alpha, umax, beta = th.n0, th.alpha, th.umax, th.beta
     sse_u = fit.sse
-    n = len(series)
-
-    n0, alpha, umax, beta = theta_u
-    starts: list[np.ndarray] = []
     if alpha >= beta and beta * umax >= alpha * n0:
-        starts.append(theta_u)  # already feasible: Lambda = 0 fast path
+        lam = 0.0
     else:
-        if alpha > beta:
-            starts.append(np.array([beta * umax / alpha * 0.9999, alpha, umax, beta]))
-        ab = 0.5 * (alpha + beta)
-        starts.append(np.array([min(n0, umax * 0.99), max(ab, 1e-6), umax, max(ab * 0.999, 1e-7)]))
-        starts.append(np.array([max(series.values[0], 1e-3), 1.0, max(series.values[-1], 1e-3), 0.5]))
-    theta_c, sse_c = _fit_monotone_constrained(series, starts)
-    if sse_c < sse_u - 1e-12 * max(1.0, sse_u):
-        # constrained search found a better basin; repolish the unconstrained fit
-        fit2 = estimate.fit_nls(series, Family.TWO_COMP, init=theta_c)
-        sse_u = min(sse_u, fit2.sse)
-    lam = max(0.0, n * math.log(sse_c / sse_u)) if sse_u > 0 else 0.0
+        t, y = series.times, series.values
+
+        def residual(w):
+            return estimate._model(Family.TWO_COMP, t, _monotone_theta(w)) - y
+
+        def jac(w):
+            n0_, alpha_, umax_, beta_ = _monotone_theta(w)
+            dtheta_dw = np.array([
+                [n0_ * w[1] / alpha_, -n0_ / alpha_, n0_, beta_ * umax_ / alpha_],
+                [beta_, 1.0, 0.0, 0.0],
+                [0.0, 0.0, umax_, 0.0],
+                [beta_, 0.0, 0.0, 0.0],
+            ])
+            return estimate._jac_two_comp(t, (n0_, alpha_, umax_, beta_)) @ dtheta_dw
+
+        w0 = np.array([
+            math.log(beta),
+            max(alpha - beta, 0.0),
+            math.log(umax),
+            min(1.0, alpha * n0 / (beta * umax)),
+        ])
+        res = least_squares(
+            residual,
+            w0,
+            jac=jac,
+            bounds=([-np.inf, 0.0, -np.inf, 0.0], [np.inf, np.inf, np.inf, 1.0]),
+            method="trf",
+            xtol=1e-12,
+            ftol=1e-12,
+            gtol=1e-12,
+            max_nfev=5000,
+        )
+        if res.status == 0:
+            raise NonConvergence("monotone-constrained fit exhausted its evaluation budget")
+        sse_c = float(res.fun @ res.fun)
+        lam = max(0.0, len(series) * math.log(sse_c / sse_u)) if sse_u > 0 else 0.0
     p = 1.0 if lam <= 0.0 else float(0.5 * stats.chi2.sf(lam, 1))
     return TestResult(
         statistic=lam,

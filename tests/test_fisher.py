@@ -10,6 +10,7 @@ from adoptkit import fisher
 from adoptkit.curves import ThetaTwoComp
 from adoptkit.errors import (
     BinomialBoundary,
+    NonConvergence,
     PoissonBoundary,
     SingularNuisance,
     ValidationError,
@@ -242,3 +243,21 @@ class TestCrlbCheck:
     def test_replicate_floor(self):
         with pytest.raises(ValidationError):
             fisher.crlb_check(THETA, [0, 1, 2], GaussianIid(0.1), replicates=10)
+
+    @pytest.mark.parametrize("n_ok", [0, 1])
+    def test_fewer_than_two_refits_raise(self, monkeypatch, n_ok):
+        from adoptkit import estimate
+
+        fit_nls = estimate.fit_nls
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > n_ok:
+                raise NonConvergence("forced")
+            return fit_nls(*args, **kwargs)
+
+        monkeypatch.setattr(estimate, "fit_nls", failing)
+        times = np.linspace(0, 20, 21)
+        with pytest.raises(NonConvergence, match=f"{100 - n_ok}/100 refits failed"):
+            fisher.crlb_check(THETA, times, GaussianIid(0.05), replicates=100)

@@ -9,7 +9,9 @@ from adoptkit import datasets, fisher, infer, simgen
 from adoptkit.curves import ComparatorParams, Family, ThetaTwoComp
 from adoptkit.errors import (
     DegenerateRegressor,
+    NonConvergence,
     TooShort,
+    ValidationError,
     ZeroResidualNorm,
     ZeroVariance,
 )
@@ -180,6 +182,37 @@ class TestConstrainedLR:
             )
             series = simgen.gen_series(theta, fisher.GaussianIid(0.05), 21, 20.0, seed=(301, r))
             assert infer.constrained_lr(series).statistic >= 0.0
+
+    def test_caller_fit_gives_the_same_result(self):
+        cases = [(ThetaTwoComp(3.0, 0.8, 2.0, 0.25), (201, r)) for r in range(10)]
+        cases += [(simgen.theta_for_depth(0.0), (21, r)) for r in range(10)]
+        for theta, seed in cases:
+            series = simgen.gen_series(theta, fisher.GaussianIid(0.05), 41, 20.0, seed=seed)
+            fit = ak.fit_nls(series, "twocomp")
+            assert infer.constrained_lr(series, fit=fit) == infer.constrained_lr(series)
+
+    def test_rejects_a_fit_of_another_family(self):
+        series = datasets.load_builtin("enterprise78").series
+        with pytest.raises(ValidationError):
+            infer.constrained_lr(series, fit=ak.fit_nls(series, "logistic"))
+
+    def test_stuck_free_fit_gives_zero(self):
+        # the free LM fit stops at SSE ~748.8, above the monotone optimum ~729.5
+        res = infer.constrained_lr(datasets.load_builtin("enterprise78raw").series)
+        assert res.statistic == 0.0
+        assert res.p_value == 1.0
+
+    def test_enterprise_regression_value(self):
+        res = infer.constrained_lr(datasets.load_builtin("enterprise78").series)
+        assert res.statistic == pytest.approx(1.3605407946, rel=1e-9)
+
+    def test_exhausted_budget_raises(self, monkeypatch):
+        least_squares = infer.least_squares
+        monkeypatch.setattr(
+            infer, "least_squares", lambda *a, **kw: least_squares(*a, **{**kw, "max_nfev": 1})
+        )
+        with pytest.raises(NonConvergence):
+            infer.constrained_lr(datasets.load_builtin("enterprise78").series)
 
 
 class TestShapeTest:
