@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from .errors import (
     CollinearDesign,
@@ -129,7 +129,7 @@ def hazard_value(spec: HazardSpec, dv: float) -> float:
     if isinstance(spec, LogitHazard):
         return spec.lam * (1.0 / (1.0 + math.exp(-(spec.a + spec.b * dv))) - 0.5)
     if isinstance(spec, ProbitHazard):
-        return spec.lam * (stats.norm.cdf(spec.a + spec.b * dv) - 0.5)
+        return spec.lam * (ndtr(spec.a + spec.b * dv) - 0.5)
     if isinstance(spec, ExponentialHazard):
         return spec.lam * (math.exp(spec.b * dv) - 1.0)
     raise ValidationError(f"unknown hazard spec {spec!r}")
@@ -146,7 +146,7 @@ def hazard_hprime0(spec: HazardSpec) -> float:
     if isinstance(spec, LogitHazard):
         return spec.lam * spec.b / 4.0
     if isinstance(spec, ProbitHazard):
-        return spec.lam * spec.b * float(stats.norm.pdf(spec.a))
+        return spec.lam * spec.b * float(np.exp(-spec.a**2 / 2.0) / np.sqrt(2.0 * np.pi))
     if isinstance(spec, ExponentialHazard):
         return spec.lam * spec.b
     raise ValidationError(f"unknown hazard spec {spec!r}")
@@ -277,10 +277,10 @@ def threshold_uncertainty(
     r_star = agency_threshold(r_chat, delta_tau, delta_phi, c_time, c_fric, mu_c)
     k = c_time * delta_tau + c_fric * delta_phi
     variance = (k / mu_c**2) ** 2 * sigma_mu**2
-    z2 = stats.norm.ppf(0.5 + level / 2.0)
+    z2 = ndtri(0.5 + level / 2.0)
     half = z2 * abs(k) * sigma_mu / mu_c**2
     alpha = 1.0 - level
-    z1 = stats.norm.ppf(level)
+    z1 = ndtri(level)
     mu_low = mu_c - z1 * sigma_mu
     if mu_low <= 0:
         raise NonpositiveLowerBound(
@@ -330,7 +330,7 @@ def preference_probability(c_f_distribution, k: float, reliability_gap: float) -
                 raise ValidationError("lognormal needs sigma > 0")
             if threshold <= 0:
                 return 1.0
-            return float(stats.lognorm.sf(threshold, s=sigma, scale=math.exp(mu)))
+            return float(ndtr(-math.log(threshold / math.exp(mu)) / sigma))
         raise ValidationError(f"unknown named family {name!r}")
     sample = np.asarray(c_f_distribution, dtype=float)
     if sample.ndim != 1 or len(sample) == 0:

@@ -1,10 +1,11 @@
 """Nonlinear least-squares fitting and uncertainty machinery.
 
-Fits every curve family by Levenberg-Marquardt on log-reparameterized
-positive parameters (the bump amplitude and center stay unconstrained), seeds
-the two-component fit from the boundary-moment identification result, and
-provides delta-method / profile-likelihood / bootstrap uncertainty for derived
-quantities.
+Fits the curve families by Levenberg-Marquardt on log-reparameterized
+positive parameters (the bump amplitude and center stay unconstrained) and the
+double exponential by variable projection in a bounded, ordered rate box,
+seeds the two-component fit from the boundary-moment identification result,
+and provides delta-method / profile-likelihood / bootstrap uncertainty for
+derived quantities.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.optimize import least_squares
+from scipy.optimize import OptimizeResult, least_squares, leastsq, nnls
+from scipy.special import gammaincinv, ndtri, stdtrit
 
 from . import curves
 from .curves import Family, ThetaTwoComp
@@ -34,6 +35,9 @@ from .errors import (
 
 COND_UNRELIABLE = 1e8
 COND_SINGULAR = 1e12
+#: ftol of the package's least-squares solves: SSEs that differ by less than
+#: this relative amount are equal to within the solves' resolution
+SOLVE_FTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -251,9 +255,14 @@ def fit_nls(
 ) -> FitReport:
     """Fit a curve family to ``series`` by log-reparameterized LM.
 
-    ``init`` overrides the default (moment-seeded, deterministic) start
-    candidates. ``tol`` sets the post-fit stationarity criterion: the SSE
-    gradient in the fitting coordinates must satisfy
+    The double exponential is fitted by variable projection instead (see
+    ``_fit_double_exp``); a fit whose optimum lies on the edge of its
+    region is returned with ``converged=False`` and ``cov_unreliable``.
+    The families without an analytic Jacobian (all but the two-component
+    curve, or it with ``jac="numeric"``) use MINPACK's forward differences
+    (``_lmdif``). ``init`` overrides the default (moment-seeded,
+    deterministic) start candidates. ``tol`` sets the post-fit stationarity
+    criterion: the SSE gradient in the fitting coordinates must satisfy
     ||grad|| < tol * (1 + SSE). The covariance is sigma2 * (J'J)^-1 with the
     analytic Jacobian for the two-component family (``jac="numeric"`` forces
     central differences) and a numeric Jacobian otherwise.
@@ -279,48 +288,43 @@ def fit_nls(
     else:
         cands = _init_candidates(family, t, y)
 
-    def residual(z):
-        return _model(family, t, _from_z(z, positive)) - y
-
     use_analytic = family == Family.TWO_COMP and jac == "analytic"
-
-    def jac_z(z):
-        theta = _from_z(z, positive)
-        J = _jac_two_comp(t, theta)
-        chain = np.where(positive, theta, 1.0)
-        return J * chain
-
-    best = None
-    exhausted = 0
     max_nfev = max_iter * (k + 1)
-    for cand in cands:
-        z0 = _to_z(cand, positive)
-        try:
-            res = least_squares(
-                residual,
-                z0,
-                jac=jac_z if use_analytic else "2-point",
-                method="lm",
-                xtol=1e-12,
-                ftol=1e-12,
-                gtol=1e-12,
-                max_nfev=max_nfev,
-            )
-        except Exception:
-            continue
-        if res.status == 0:
-            exhausted += 1
-            continue
-        sse = 2.0 * res.cost
-        if best is None or sse < best[0]:
-            best = (sse, res)
-    if best is None:
-        raise NonConvergence(
-            f"no start converged for {family.value}"
-            + (f" ({exhausted} exhausted the iteration budget)" if exhausted else "")
-        )
-    sse, res = best
-    theta = _from_z(res.x, positive)
+    if family == Family.DOUBLE_EXP:
+        theta, nfev, degenerate = _fit_double_exp(t, y, cands, max_nfev)
+    else:
+        def residual(z):
+            return _model(family, t, _from_z(z, positive)) - y
+
+        def jac_z(z):
+            theta = _from_z(z, positive)
+            J = _jac_two_comp(t, theta)
+            chain = np.where(positive, theta, 1.0)
+            return J * chain
+
+        def runs():
+            for cand in cands:
+                z0 = _to_z(cand, positive)
+                if not use_analytic:
+                    yield _lmdif(residual, z0, max_nfev)
+                    continue
+                try:
+                    res = least_squares(
+                        residual,
+                        z0,
+                        jac=jac_z,
+                        method="lm",
+                        xtol=1e-12,
+                        ftol=SOLVE_FTOL,
+                        gtol=1e-12,
+                        max_nfev=max_nfev,
+                    )
+                except Exception:
+                    continue
+                yield res
+
+        res = _best_run(family, runs())
+        theta, nfev, degenerate = _from_z(res.x, positive), res.nfev, False
     fitted = _model(family, t, theta)
     e = y - fitted
     sse = float(np.dot(e, e))
@@ -351,7 +355,7 @@ def fit_nls(
     chain = np.where(positive, theta, 1.0)
     grad = 2.0 * (J * chain).T @ e
     grad_norm = float(np.linalg.norm(grad))
-    converged = grad_norm < tol * (1.0 + sse)
+    converged = not degenerate and grad_norm < tol * (1.0 + sse)
     return FitReport(
         family=family,
         theta=theta,
@@ -360,12 +364,121 @@ def fit_nls(
         sigma2=float(sigma2),
         aic=float(aic),
         converged=bool(converged),
-        n_iter=int(res.nfev),
+        n_iter=int(nfev),
         jtj_condition=cond,
-        cov_unreliable=bool(singular or cond > COND_UNRELIABLE),
+        cov_unreliable=bool(degenerate or singular or cond > COND_UNRELIABLE),
         grad_norm=grad_norm,
         singular=bool(singular),
     )
+
+
+def _lmdif(residual, z0: np.ndarray, max_nfev: int) -> OptimizeResult:
+    """Levenberg-Marquardt with MINPACK's own forward-difference Jacobian.
+
+    ``least_squares(method="lm", jac="2-point")`` runs MINPACK's lmder on a
+    Jacobian differenced in Python, and its result depends on the content of
+    freed heap memory: a fit in a flat valley (logisticbump on enterprise78)
+    then stops at a different point from one process to the next. lmdif,
+    reached through ``leastsq``, gives the same result every time. Returns
+    the fields of a ``least_squares`` result that ``_best_run`` reads;
+    status 0 means the evaluation budget was used up.
+    """
+    x, _, info, _, ier = leastsq(
+        residual, z0, full_output=True, xtol=1e-12, ftol=SOLVE_FTOL, gtol=1e-12, maxfev=max_nfev
+    )
+    f = info["fvec"]
+    return OptimizeResult(
+        x=x, cost=0.5 * float(f @ f), nfev=int(info["nfev"]), status=int(ier != 5)
+    )
+
+
+def _best_run(family: Family, runs) -> OptimizeResult:
+    """The lowest-cost solver result; a run that used up its budget, or whose
+    residuals are not finite, is dropped."""
+    best = None
+    exhausted = 0
+    for res in runs:
+        if res.status == 0:
+            exhausted += 1
+        elif math.isfinite(res.cost) and (best is None or res.cost < best.cost):
+            best = res
+    if best is None:
+        raise NonConvergence(
+            f"no start converged for {family.value}"
+            + (f" ({exhausted} exhausted the iteration budget)" if exhausted else "")
+        )
+    return best
+
+
+def _fit_double_exp(
+    t: np.ndarray, y: np.ndarray, cands: list[np.ndarray], max_nfev: int
+) -> tuple[np.ndarray, int, bool]:
+    """Fit k - b1*exp(-r1 t) - b2*exp(-r2 t) by variable projection.
+
+    The model is linear in (k, b1, b2), so only w = (log r2, log(r1 - r2))
+    is iterated, by one bounded trust-region solve per start; ordering the
+    rates (r1 > r2) removes the label symmetry. At each w the amplitudes are
+    the 3-column NNLS solution, nonnegative by construction. Both r2 and
+    r1 - r2 stay in the box [0.01/span, 10/min dt] tied to the design. The
+    starts are the rate pairs of ``cands``, ordered and clipped into the box.
+
+    The family's least-squares infimum often lies on the edge of this
+    region (a rate at the box edge, or NNLS zeroing an amplitude); such a
+    fit is returned in a canonical form and flagged ``degenerate``. Each
+    rate coordinate is snapped to its nearest box edge when that does not
+    raise the SSE beyond the solve's resolution (relative SOLVE_FTOL), and
+    the amplitudes are solved again; a zeroed amplitude is reported as 0.0
+    with its rate set to the other rate. Returns (theta, nfev of the winning
+    start, degenerate). Raises NonConvergence when every start uses up
+    ``max_nfev``.
+    """
+    span = max(float(t[-1] - t[0]), 1e-8)
+    lb = math.log(0.01 / span)
+    ub = math.log(10.0 / float(np.min(np.diff(t))))
+
+    def solve(w):
+        r2 = math.exp(w[0])
+        r1 = r2 + math.exp(w[1])
+        basis = np.column_stack([np.ones_like(t), -np.exp(-r1 * t), -np.exp(-r2 * t)])
+        c, _ = nnls(basis, y)
+        return c, r1, r2, basis @ c - y
+
+    def sse(w):
+        e = solve(w)[3]
+        return float(e @ e)
+
+    def runs():
+        for cand in cands:
+            r1, r2 = max(cand[2], cand[4]), min(cand[2], cand[4])
+            w0 = np.clip(np.log(np.maximum([r2, r1 - r2], 1e-300)), lb, ub)
+            yield least_squares(
+                lambda w: solve(w)[3],
+                w0,
+                bounds=(lb, ub),
+                method="trf",
+                xtol=1e-12,
+                ftol=SOLVE_FTOL,
+                gtol=1e-12,
+                max_nfev=max_nfev,
+            )
+
+    res = _best_run(Family.DOUBLE_EXP, runs())
+    w = res.x.copy()
+    best = sse(w)
+    snapped = False
+    for i in range(2):
+        trial = w.copy()
+        trial[i] = lb if w[i] - lb < ub - w[i] else ub
+        at_edge = sse(trial)
+        if at_edge <= best * (1.0 + SOLVE_FTOL):
+            w, best, snapped = trial, at_edge, True
+    (k, b1, b2), r1, r2, _ = solve(w)
+    if b1 == 0.0:
+        r1 = r2
+    if b2 == 0.0:
+        r2 = r1
+    degenerate = snapped or min(k, b1, b2) == 0.0
+    return np.array([k, b1, r1, b2, r2]), int(res.nfev), degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +566,7 @@ def delta_ci_tstar(fit: FitReport, level: float = 0.95) -> TstarDelta:
     g_fit = np.array([g[2], g[0], g[3], g[1]])  # -> (n0, alpha, umax, beta)
     var = float(g_fit @ fit.cov @ g_fit)
     var = max(var, 0.0)
-    z = stats.norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     half = z * math.sqrt(var)
     return TstarDelta(
         t_star=report.t_star,
@@ -598,7 +711,7 @@ def prepost_delta_beta(
     cov = float(np.cov(arr[:, 0], arr[:, 1], ddof=1)[0, 1])
     var_delta = max(var_post + var_pre - 2.0 * cov, 0.0)
     se = math.sqrt(var_delta)
-    z = stats.norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     delta = beta_post - beta_pre
     return PrePostReport(
         beta_pre=beta_pre,
@@ -660,7 +773,7 @@ def profile_ci_tstar(series: TimeSeries, level: float = 0.95, max_steps: int = 4
     t_star = report.t_star
     n = len(series)
     sse_hat = fit.sse
-    threshold = sse_hat * math.exp(stats.chi2.ppf(level, 1) / n)
+    threshold = sse_hat * math.exp(2.0 * gammaincinv(0.5, level) / n)
     step = max(t_star, 1e-3) * 0.05
 
     def walk(direction: int) -> tuple[float, int]:
@@ -733,7 +846,7 @@ def embedding_gradient(
         xtwx = X.T @ (X * wgt[:, None])
         coef = np.linalg.solve(xtwx, X.T @ (wgt * b))
         var_slope = float(np.linalg.inv(xtwx)[1, 1])
-        z = stats.norm.ppf(0.5 + level / 2.0)
+        z = ndtri(0.5 + level / 2.0)
     else:
         coef, *_ = np.linalg.lstsq(X, b, rcond=None)
         resid = b - X @ coef
@@ -741,7 +854,7 @@ def embedding_gradient(
         s2 = float(resid @ resid) / dof if dof > 0 else 0.0
         sxx = float(np.sum((e - e.mean()) ** 2))
         var_slope = s2 / sxx
-        z = stats.t.ppf(0.5 + level / 2.0, dof) if dof > 0 else stats.norm.ppf(0.5 + level / 2.0)
+        z = stdtrit(dof, 0.5 + level / 2.0) if dof > 0 else ndtri(0.5 + level / 2.0)
     se_slope = math.sqrt(var_slope)
     slope = float(coef[1])
     t_stat = slope / se_slope if se_slope > 0 else math.copysign(math.inf, slope or 1.0)
@@ -781,7 +894,7 @@ def estimate_hprime0(delta_beta, delta_v, controls=None, level: float = 0.95) ->
     meat = X.T @ (X * (e**2)[:, None])
     vcov = xtx_inv @ meat @ xtx_inv * (n / max(n - k, 1))
     se_h = math.sqrt(max(float(vcov[1, 1]), 0.0))
-    z = stats.norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     h = float(coef[1])
     t_stat = h / se_h if se_h > 0 else math.copysign(math.inf, h or 1.0)
     return SlopeFit(

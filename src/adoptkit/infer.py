@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.optimize import least_squares
+from scipy.special import chdtrc, fdtrc, ndtr
 
 from . import curves, estimate
 from .curves import Family
@@ -79,7 +79,7 @@ def breusch_pagan(residuals, regressor) -> TestResult:
         p = 0.0 if ssr > 0 else 1.0
     else:
         f_stat = ssr / (sse / (n - 2))
-        p = float(stats.f.sf(f_stat, 1, n - 2))
+        p = float(fdtrc(1, n - 2, f_stat))
     return TestResult(
         statistic=f_stat,
         p_value=p,
@@ -117,7 +117,7 @@ def vuong(loglik_a, loglik_b, k_a: int, k_b: int) -> TestResult:
             return TestResult(0.0, 1.0, False, "Vuong (Schwarz-corrected), degenerate tie")
         raise ZeroVariance("pointwise log-likelihood differences have zero variance")
     t_v = numer / (math.sqrt(n) * omega)
-    p = float(2.0 * stats.norm.sf(abs(t_v)))
+    p = float(2.0 * ndtr(-abs(t_v)))
     return TestResult(
         statistic=t_v,
         p_value=p,
@@ -150,11 +150,13 @@ def constrained_lr(
     two-component Jacobian chained through dtheta/dw. A free fit that is
     already monotone gives Lambda = 0 with no solve.
 
-    Lambda = max(0, n * log(SSE_constrained / SSE_free)): the region is a
-    subset of the free model, so SSE_free <= SSE_constrained at the true
-    optima and a negative log-ratio only means the free fit stopped in a
-    worse local optimum. The null places the truth on the monotone boundary,
-    so p comes from the 50:50 chi2_0 : chi2_1 mixture.
+    Lambda = n * log(SSE_constrained / SSE_free), reported as 0 (p = 1) when
+    the log-ratio is at most the solve's SSE resolution
+    ``estimate.SOLVE_FTOL``: the region is a subset of the free model, so
+    SSE_free <= SSE_constrained at the true optima, a negative log-ratio only
+    means the free fit stopped in a worse local optimum, and a smaller
+    positive one is rounding. The null places the truth on the monotone
+    boundary, so p comes from the 50:50 chi2_0 : chi2_1 mixture.
 
     ``fit`` is the free two-component fit of ``series`` when the caller
     already has it (ValidationError for another family); the result is the
@@ -197,15 +199,16 @@ def constrained_lr(
             bounds=([-np.inf, 0.0, -np.inf, 0.0], [np.inf, np.inf, np.inf, 1.0]),
             method="trf",
             xtol=1e-12,
-            ftol=1e-12,
+            ftol=estimate.SOLVE_FTOL,
             gtol=1e-12,
             max_nfev=5000,
         )
         if res.status == 0:
             raise NonConvergence("monotone-constrained fit exhausted its evaluation budget")
         sse_c = float(res.fun @ res.fun)
-        lam = max(0.0, len(series) * math.log(sse_c / sse_u)) if sse_u > 0 else 0.0
-    p = 1.0 if lam <= 0.0 else float(0.5 * stats.chi2.sf(lam, 1))
+        log_ratio = math.log(sse_c / sse_u) if sse_u > 0 else 0.0
+        lam = len(series) * log_ratio if log_ratio > estimate.SOLVE_FTOL else 0.0
+    p = 1.0 if lam <= 0.0 else float(0.5 * chdtrc(1, lam))
     return TestResult(
         statistic=lam,
         p_value=p,
@@ -262,11 +265,10 @@ def shape_test(series: estimate.TimeSeries, n_boot: int = 1000, seed=0, window: 
     fit = isotonic_fit(y)
     resid = y - fit
     rng = np.random.default_rng(seed)
-    count = 0
-    for _ in range(n_boot):
-        ystar = fit + rng.choice(resid, size=len(y), replace=True)
-        if _shape_statistic(ystar, window) <= s_obs:
-            count += 1
+    # one (n_boot, n) draw gives the same numbers as n_boot draws of n
+    ystar = fit + rng.choice(resid, size=(n_boot, len(y)), replace=True)
+    s_boot = np.min(ystar[:, window:] - ystar[:, :-window], axis=1)
+    count = int(np.count_nonzero(s_boot <= s_obs))
     p = (1.0 + count) / (1.0 + n_boot)
     return TestResult(
         statistic=s_obs,

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import curves, estimate, fisher, infer
 from .curves import PhaseKind, ThetaTwoComp
@@ -217,11 +218,9 @@ class BenchmarkReport:
 
 def wilson_interval(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    from scipy import stats as _st
-
     if n == 0:
         return (0.0, 1.0)
-    z = _st.norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     p = k / n
     denom = 1.0 + z**2 / n
     center = (p + z**2 / (2 * n)) / denom

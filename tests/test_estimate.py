@@ -101,6 +101,55 @@ class TestFitNls:
         assert a == pytest.approx(b, abs=1e-6)
 
 
+class TestDoubleExp:
+    # SSE of the Levenberg-Marquardt fit this variable-projection fit replaced
+    LM_SSE = {"synthetic21": 0.6189310377857326, "enterprise78raw": 748.8419596597827}
+
+    @pytest.mark.parametrize("name", ["synthetic21", "enterprise78", "enterprise78raw"])
+    def test_rates_ordered(self, name):
+        k, b1, r1, b2, r2 = ak.fit_nls(datasets.load_builtin(name).series, Family.DOUBLE_EXP).theta
+        assert r1 >= r2 > 0
+        assert min(k, b1, b2) >= 0.0
+
+    @pytest.mark.parametrize("name", sorted(LM_SSE))
+    def test_sse_within_lm_reference(self, name):
+        fit = ak.fit_nls(datasets.load_builtin(name).series, Family.DOUBLE_EXP)
+        assert fit.sse <= self.LM_SSE[name] * (1.0 + 1e-6)
+
+    def test_enterprise_collapse_is_flagged_quickly(self, monkeypatch):
+        # the LM fit used up 2 x 6000 evaluations here and raised NonConvergence
+        nfev = []
+        least_squares = estimate.least_squares
+
+        def counted(*args, **kwargs):
+            res = least_squares(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(estimate, "least_squares", counted)
+        fit = ak.fit_nls(datasets.enterprise78().series, Family.DOUBLE_EXP)
+        assert not fit.converged
+        assert fit.cov_unreliable
+        assert fit.sse <= 8.5
+        assert sum(nfev) <= 500
+
+    def test_zero_amplitude_has_canonical_form(self):
+        # NNLS zeroes the fast amplitude; its rate is reported as the slow one
+        k, b1, r1, b2, r2 = ak.fit_nls(datasets.enterprise78().series, Family.DOUBLE_EXP).theta
+        assert b1 == 0.0
+        assert r1 == r2
+        assert k > 0 and b2 > 0
+
+    def test_recovers_noiseless_truth(self):
+        truth = (5.0, 2.0, 1.0, 1.5, 0.1)
+        t = np.linspace(0.0, 20.0, 41)
+        series = TimeSeries(t, ak.eval_curve(ak.ComparatorParams(Family.DOUBLE_EXP, truth), t))
+        fit = ak.fit_nls(series, Family.DOUBLE_EXP)
+        assert fit.theta == pytest.approx(truth, rel=1e-6)
+        assert fit.converged
+        assert not fit.cov_unreliable
+
+
 class TestIdentifyFromMoments:
     def test_reference_candidates(self):
         cands = ak.identify_from_moments(3.0, -1.9, 1.795, 2.0)

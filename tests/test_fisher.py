@@ -82,6 +82,13 @@ class TestInfoMatrix:
         rel = np.max(np.abs(whitened - dense)) / np.max(np.abs(dense))
         assert rel < 1e-8
 
+    def test_ar1_info_matrix_matches_dense_oracle_at_n1826(self):
+        times = np.linspace(0.0, 1825.0, 1826)
+        report = info_matrix(THETA, times, GaussianAr1(0.05, 0.3))
+        dense = info_ar1_dense(THETA, times, 0.05, 0.3)
+        rel = np.max(np.abs(report.info_full - dense)) / np.max(np.abs(dense))
+        assert rel < 1e-10
+
     def test_ar1_simplified_form_differs_and_is_reported(self):
         times = np.linspace(0, 20, 21)
         report = info_matrix(THETA, times, GaussianAr1(0.05, 0.6))

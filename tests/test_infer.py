@@ -206,6 +206,16 @@ class TestConstrainedLR:
         res = infer.constrained_lr(datasets.load_builtin("enterprise78").series)
         assert res.statistic == pytest.approx(1.3605407946, rel=1e-9)
 
+    def test_rounding_noise_gives_zero(self):
+        # the free fit lies outside the monotone region only by rounding: the
+        # constrained SSE exceeds it by less than the solve's resolution
+        series = simgen.gen_series(
+            simgen.theta_for_depth(0), fisher.GaussianAr1(0.05, 0.3), 21, 20.0, seed=(902, 178)
+        )
+        res = infer.constrained_lr(series)
+        assert res.statistic == 0.0
+        assert res.p_value == 1.0
+
     def test_exhausted_budget_raises(self, monkeypatch):
         least_squares = infer.least_squares
         monkeypatch.setattr(
@@ -245,6 +255,20 @@ class TestShapeTest:
         a = infer.shape_test(series, n_boot=300, seed=9)
         b = infer.shape_test(series, n_boot=300, seed=9)
         assert a == b
+
+    def test_matches_one_draw_per_resample(self):
+        # reference: the loop of one size-n draw and one statistic per resample
+        for series in (datasets.synthetic21().series, datasets.enterprise78().series):
+            y = series.values
+            s_obs = float(np.min(y[3:] - y[:-3]))
+            fit = infer.isotonic_fit(y)
+            rng = np.random.default_rng(4)
+            count = 0
+            for _ in range(300):
+                ystar = fit + rng.choice(y - fit, size=len(y), replace=True)
+                count += float(np.min(ystar[3:] - ystar[:-3])) <= s_obs
+            res = infer.shape_test(series, n_boot=300, seed=4)
+            assert res.p_value == (1.0 + count) / 301.0
 
 
 class TestGaussianLoglik:
