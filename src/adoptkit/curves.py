@@ -192,19 +192,25 @@ def eval_curve(params: ComparatorParams | ThetaTwoComp, t):
     return _eval_values(params.family, np.asarray(params.values, dtype=float), t)
 
 
+#: positions, in the (alpha, beta, n0, umax) order of gradient_theta and
+#: tstar_sensitivities, of the fitting order (n0, alpha, umax, beta)
+FIT_ORDER = [2, 0, 3, 1]
+
+
+def _gradient_values(values, t):
+    n0, alpha, umax, beta = values
+    ea = np.exp(-alpha * t)
+    eb = np.exp(-beta * t)
+    return np.stack([-n0 * t * ea, umax * t * eb, ea, 1.0 - eb], axis=-1)
+
+
 def gradient_theta(theta: ThetaTwoComp, t) -> np.ndarray:
     """Partials of A(t) in the order (alpha, beta, n0, umax).
 
     Exactly (-n0*t*e^{-alpha t}, umax*t*e^{-beta t}, e^{-alpha t}, 1-e^{-beta t});
     scalar t gives shape (4,), an n-vector gives shape (n, 4).
     """
-    t = _check_times(t)
-    ea = np.exp(-theta.alpha * t)
-    eb = np.exp(-theta.beta * t)
-    g = np.stack(
-        [-theta.n0 * t * ea, theta.umax * t * eb, ea, 1.0 - eb], axis=-1
-    )
-    return g
+    return _gradient_values(theta.as_array(), _check_times(t))
 
 
 # ---------------------------------------------------------------------------

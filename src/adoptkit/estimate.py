@@ -1,11 +1,11 @@
 """Nonlinear least-squares fitting and uncertainty machinery.
 
-Fits the curve families by Levenberg-Marquardt on log-reparameterized
-positive parameters (the bump amplitude and center stay unconstrained) and the
-double exponential by variable projection in a bounded, ordered rate box,
-seeds the two-component fit from the boundary-moment identification result,
-and provides delta-method / profile-likelihood / bootstrap uncertainty for
-derived quantities.
+Fits every curve family by variable projection: its amplitudes are solved
+exactly (nonnegative where the family requires it) at each value of its
+other parameters, which start from the best points of a grid over their box
+and are polished by Levenberg-Marquardt (the double exponential by a bounded
+trust-region solve). Provides delta-method / profile-likelihood / bootstrap
+uncertainty for derived quantities.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import OptimizeResult, least_squares, leastsq, nnls
 from scipy.special import gammaincinv, ndtri, stdtrit
 
@@ -122,20 +123,8 @@ class FitReport:
 
 
 # ---------------------------------------------------------------------------
-# model evaluation in fitting order
+# fitting by variable projection
 # ---------------------------------------------------------------------------
-
-def _model(family: Family, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    return curves._eval_values(family, theta, t)
-
-
-def _jac_two_comp(t: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian in fitting order (n0, alpha, umax, beta)."""
-    n0, alpha, umax, beta = theta
-    ea = np.exp(-alpha * t)
-    eb = np.exp(-beta * t)
-    return np.column_stack([ea, -n0 * t * ea, 1.0 - eb, umax * t * eb])
-
 
 def _numeric_jac(family: Family, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
     J = np.empty((len(t), len(theta)))
@@ -145,104 +134,231 @@ def _numeric_jac(family: Family, t: np.ndarray, theta: np.ndarray) -> np.ndarray
         dn = theta.copy()
         up[j] += h
         dn[j] -= h
-        J[:, j] = (_model(family, t, up) - _model(family, t, dn)) / (2.0 * h)
+        J[:, j] = (curves._eval_values(family, up, t) - curves._eval_values(family, dn, t)) / (2.0 * h)
     return J
 
 
-# ---------------------------------------------------------------------------
-# initialization
-# ---------------------------------------------------------------------------
+class _Separable:
+    """A family as amplitudes times columns of its other parameters.
 
-def _logistic_init(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    k = 1.05 * max(float(np.max(y)), 1e-8)
-    yy = np.clip(y, 1e-6 * k, (1.0 - 1e-6) * k)
-    z = np.log(yy / (k - yy))
-    slope, intercept = np.polyfit(t, z, 1)
-    g = max(float(slope), 1e-8)
-    c = float(np.exp(-intercept))
-    return np.array([k, max(c, 1e-8), g])
+    ``amplitudes`` are the theta positions of the parameters the model is
+    linear in, each kept >= 0 where curves.FAMILY_POSITIVE says so. The
+    other parameters p are iterated as w = log p where p is positive, else
+    w = p; ``box`` names the start-grid range of each (``_ranges``).
+    """
+
+    def __init__(self, family: Family, amplitudes: list[int], box: tuple[str, ...]):
+        positive = np.array(curves.FAMILY_POSITIVE[family])
+        self.family, self.amplitudes, self.box = family, amplitudes, box
+        self.nonlinear = [i for i in range(len(positive)) if i not in amplitudes]
+        self.nonneg = positive[amplitudes]
+        self.logs = positive[self.nonlinear]
+        self.unit = np.eye(len(amplitudes))
+        self.order = np.argsort(amplitudes + self.nonlinear).tolist()
+
+    def params(self, w: np.ndarray) -> np.ndarray:
+        # the clip keeps exp finite when a coordinate runs off
+        return np.where(self.logs, np.exp(w.clip(-40.0, 40.0)), w)
+
+    def coords(self, theta: np.ndarray) -> np.ndarray:
+        p = theta[self.nonlinear]
+        return np.where(self.logs, np.log(np.maximum(p, 1e-12)), p)
+
+    def theta(self, w: np.ndarray, c) -> np.ndarray:
+        return np.concatenate([c, self.params(w)])[self.order]
+
+    def design(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The columns at ``w`` (shape (d,) or (g, d)), shape (m, n) or
+        (m, g, n): the family's curve with one amplitude 1, the others 0."""
+        unit = self.unit.reshape(self.unit.shape + (1,) * w.ndim)
+        p = self.params(w)
+        # a polish step passes floats: numpy is slower on 1-element arrays
+        parts = [*unit, *(p.T[..., None] if w.ndim > 1 else p.tolist())]
+        return curves._eval_values(self.family, [parts[i] for i in self.order], t)
+
+    def solve(self, w: np.ndarray, t: np.ndarray, y: np.ndarray):
+        """The columns and the amplitudes at ``w``: closed-form for one or
+        two columns, NNLS for the double exponential's three."""
+        A = self.design(w, t)
+        if len(self.amplitudes) == 3:
+            return A, nnls(A.T, y)[0]
+        return A, np.array(_amplitudes((A @ A.T).tolist(), (A @ y).tolist(), self.nonneg)[0])
 
 
-def _init_candidates(family: Family, t: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+_SEPARABLE = {
+    sep.family: sep
+    for sep in (
+        _Separable(Family.TWO_COMP, [0, 2], ("rate", "rate")),
+        _Separable(Family.LOGISTIC, [0], ("offset", "rate")),
+        _Separable(Family.BASS, [0], ("rate", "rate")),
+        _Separable(Family.BI_LOGISTIC, [0, 3], ("offset", "rate", "offset", "rate")),
+        _Separable(Family.DOUBLE_EXP, [0, 1, 3], ("rate", "rate")),
+        _Separable(Family.LOGISTIC_BUMP, [0, 3], ("offset", "rate", "center", "width")),
+    )
+}
+
+#: theta positions (amplitude first, rate last) of interchangeable components
+_COMPONENTS = {Family.BI_LOGISTIC: ([0, 1, 2], [3, 4, 5]), Family.DOUBLE_EXP: ([1, 2], [3, 4])}
+
+#: points per coordinate of the start grid
+GRID_POINTS = 16
+
+
+def _ranges(t: np.ndarray) -> dict[str, tuple[float, float]]:
+    """Start-grid range by coordinate kind; log c in [-10, 10] puts A(0)/k in (5e-5, 1)."""
     span = max(float(t[-1] - t[0]), 1e-8)
-    scale = max(float(np.max(np.abs(y))), 1e-8)
-    if family == Family.TWO_COMP:
-        n0 = max(float(y[0]), 1e-2 * scale)
-        umax = max(float(y[-1]), 1e-2 * scale)
-        cands: list[np.ndarray] = []
-        m = min(6, len(t))
-        coef = np.polyfit(t[:m] - t[0], y[:m], 2)
-        d1, d2 = float(coef[1]), 2.0 * float(coef[0])
-        try:
-            for th in identify_from_moments(n0, d1, d2, umax):
-                cands.append(np.array([n0, th.alpha, umax, th.beta]))
-        except (DegenerateIdentification, NoPositiveRoot):
-            pass
-        cands.append(np.array([n0, 1.0, umax, 0.1]))
-        cands.append(np.array([n0, 4.0 / span, umax, 1.0 / span]))
-        return cands
-    if family == Family.LOGISTIC:
-        return [_logistic_init(t, y)]
-    if family == Family.BASS:
-        k, c, g = _logistic_init(t, y)
-        return [
-            np.array([k, g / (1.0 + c), g * c / (1.0 + c)]),
-            np.array([k, 0.5 / span, 5.0 / span]),
-        ]
-    if family == Family.BI_LOGISTIC:
-        k, c, g = _logistic_init(t, y)
-        return [
-            np.array([0.6 * k, c, 1.6 * g, 0.45 * k, max(3.0 * c, 5.0), 0.5 * g]),
-            np.array([0.5 * k, max(c, 1.0), 2.0 * g, 0.55 * k, 10.0, 0.8 * g]),
-        ]
-    if family == Family.DOUBLE_EXP:
-        k = 1.05 * max(float(np.max(y)), 1e-8)
-        _, _, g = _logistic_init(t, y)
-        b_total = max(k - float(y[0]), 0.05 * k)
-        return [
-            np.array([k, 0.7 * b_total, 2.0 * g, 0.3 * b_total, 0.5 * g]),
-            np.array([k, 0.5 * b_total, 4.0 / span, 0.5 * b_total, 1.0 / span]),
-        ]
-    if family == Family.LOGISTIC_BUMP:
-        base = _logistic_init(t, y)
-        try:
-            inner = fit_nls(TimeSeries(t, y), Family.LOGISTIC)
-            base = inner.theta
-            resid = inner.residuals
-        except RECOVERABLE:
-            resid = y - _model(Family.LOGISTIC, t, base)
-        # seed the bump on the smoothed residual extremum: the raw extremum
-        # chases noise, which collapses the bump (s -> 0) into an
-        # unidentified optimum
-        w = max(3, len(t) // 8)
-        kernel = np.ones(w) / w
-        smoothed = np.convolve(resid, kernel, mode="same")
-        idx = int(np.argmax(np.abs(smoothed)))
-        s0 = float(smoothed[idx])
-        if s0 == 0.0:
-            s0 = 0.05 * scale
-        mu0 = float(t[idx])
-        return [
-            np.array([base[0], base[1], base[2], s0, mu0, max(span / 10.0, 1e-3)]),
-            np.array([base[0], base[1], base[2], s0, mu0, max(span / 20.0, 1e-3)]),
-        ]
-    raise ValidationError(f"unknown family {family!r}")
+    dt = float(np.min(np.diff(t)))
+    return {
+        "rate": (math.log(0.01 / span), math.log(3.0 / dt)),
+        "offset": (-10.0, 10.0),
+        "center": (float(t[0]), float(t[-1])),
+        "width": (math.log(dt), math.log(span)),
+    }
 
 
-# ---------------------------------------------------------------------------
-# fitting
-# ---------------------------------------------------------------------------
-
-def _to_z(theta: np.ndarray, positive: np.ndarray) -> np.ndarray:
-    z = np.array(theta, dtype=float)
-    z[positive] = np.log(np.maximum(z[positive], 1e-12))
-    return z
-
-
-def _from_z(z: np.ndarray, positive: np.ndarray) -> np.ndarray:
-    theta = np.array(z, dtype=float)
-    theta[positive] = np.exp(np.clip(theta[positive], -40.0, 40.0))
+def _canonical(family: Family, theta: np.ndarray) -> np.ndarray:
+    """``theta`` with the components of a symmetric family in canonical
+    order: decreasing rate, then increasing amplitude."""
+    if family in _COMPONENTS:
+        a, b = _COMPONENTS[family]
+        if (theta[b[-1]], -theta[b[0]]) > (theta[a[-1]], -theta[a[0]]):
+            theta = theta.copy()
+            theta[a + b] = theta[b + a]
     return theta
+
+
+def _amplitudes(G, b, nonneg, where=lambda cond, x, y: x if cond else y):
+    """Least-squares amplitudes of one or two columns, each kept >= 0 where
+    ``nonneg`` says so, from the Gram entries G[i][j] = a_i'a_j, b[i] = a_i'y.
+
+    The entries are floats, or arrays over a grid with ``where=np.where``.
+    Exact: the solution is the unconstrained one when that is feasible and
+    better than both one-column solutions (clipped at 0 where nonnegative),
+    else the better of those. Returns (amplitudes, SSE - y'y).
+    """
+    singles = []
+    for i, keep in enumerate(nonneg):
+        s = b[i] / (G[i][i] + 1e-300)  # a zero column gets 0
+        singles.append(where(s > 0.0, s, 0.0) if keep else s)
+    if len(b) == 1:
+        return singles, -b[0] * singles[0]
+    (g00, g01), (_, g11) = G
+    first = -b[0] * singles[0] <= -b[1] * singles[1]
+    best = where(first, -b[0] * singles[0], -b[1] * singles[1])
+    det = g00 * g11 - g01 * g01
+    full = det > 1e-12 * g00 * g11
+    det = where(full, det, 1.0)
+    c0 = (g11 * b[0] - g01 * b[1]) / det
+    c1 = (g00 * b[1] - g01 * b[0]) / det
+    v = -(b[0] * c0 + b[1] * c1)
+    full = full & (v < best) & ((c0 >= 0.0) | (not nonneg[0])) & ((c1 >= 0.0) | (not nonneg[1]))
+    c = [where(full, c0, where(first, singles[0], 0.0)), where(full, c1, where(first, 0.0, singles[1]))]
+    return c, where(full, v, best)
+
+
+def _grid(sep: _Separable, t: np.ndarray, y: np.ndarray, w: np.ndarray, pair: int):
+    """Coordinates and SSE - y'y on a GRID_POINTS^2 grid over the box of
+    coordinates ``pair`` and ``pair + 1``, the others fixed at ``w``."""
+    ranges = _ranges(t)
+    axes = [np.linspace(*ranges[name], GRID_POINTS) for name in sep.box[pair : pair + 2]]
+    W = np.tile(w, (GRID_POINTS**2, 1))
+    W[:, pair : pair + 2] = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    A = sep.design(W, t)
+    G, b, nonneg, offset = np.einsum("ign,jgn->ijg", A, A), A @ y, sep.nonneg, 0.0
+    if len(b) == 3:
+        # double exponential: its start does not hold k >= 0, so the constant
+        # column is partialled out (the Schur complement of its Gram entry)
+        offset = -b[0] ** 2 / G[0, 0]
+        b = b[1:] - G[1:, 0] * b[0] / G[0, 0]
+        G = G[1:, 1:] - G[1:, :1] * G[:1, 1:] / G[0, 0]
+        nonneg = nonneg[1:]
+    return W, _amplitudes(G, b, nonneg, np.where)[1] + offset
+
+
+def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, init, max_nfev: int) -> OptimizeResult:
+    """The coordinates w, polished from ``init`` or from the start rule.
+
+    The two-coordinate families start from the best point of a grid over
+    their box; the two-component curve from the best one on each side of
+    alpha = beta. The four-coordinate families take their first pair from
+    the logistic fit and their second from the three best local minima of
+    the grid with the first pair fixed; after those polishes, the first pair
+    is taken again from the grid with the second fixed at the best result
+    (the components' roles swapped). The best polish wins: MINPACK's
+    Levenberg-Marquardt (``_lmdif``), or for the double exponential a
+    trust-region solve bounded by its box, which keeps its collapse to one
+    exponential cheap. A run that uses up its budget, or whose residuals
+    are not finite, is dropped.
+    """
+
+    def residual(w):
+        A, c = sep.solve(w, t, y)
+        return c @ A - y
+
+    def polish(w0):
+        if sep.family != Family.DOUBLE_EXP:
+            return _lmdif(residual, w0, max_nfev)
+        lb, ub = _ranges(t)["rate"]
+        return least_squares(residual, np.clip(w0, lb, ub), bounds=(lb, ub), method="trf",
+                             xtol=1e-12, ftol=SOLVE_FTOL, gtol=1e-12, max_nfev=max_nfev)
+
+    def grid_best(w, pair, split=False):
+        W, val = _grid(sep, t, y, w, pair)
+        sides = [W[:, 0] > W[:, 1], W[:, 0] < W[:, 1]] if split else [slice(None)]
+        return [W[side][np.argmin(val[side])] for side in sides]
+
+    def polishes():
+        if init is not None:
+            yield polish(sep.coords(_canonical(sep.family, np.asarray(init, dtype=float))))
+        elif len(sep.box) == 2:
+            for w0 in grid_best(np.zeros(2), 0, split=sep.family == Family.TWO_COMP):
+                yield polish(w0)
+        else:
+            lead = _fit_coords(_SEPARABLE[Family.LOGISTIC], t, y, None, max_nfev).x
+            W, val = _grid(sep, t, y, np.concatenate([lead, lead]), 2)
+            V = np.pad(val.reshape(GRID_POINTS, GRID_POINTS), 1, constant_values=np.inf)
+            lows = np.flatnonzero(val <= sliding_window_view(V, (3, 3)).min(axis=(2, 3)).ravel())
+            firsts = [polish(W[i]) for i in lows[np.argsort(val[lows])][:3]]
+            yield from firsts
+            yield polish(grid_best(min(firsts, key=lambda r: r.cost).x, 0)[0])
+
+    runs = list(polishes())
+    done = [r for r in runs if r.status != 0 and math.isfinite(r.cost)]
+    if not done:
+        exhausted = sum(r.status == 0 for r in runs)
+        raise NonConvergence(f"no start converged for {sep.family.value} "
+                             f"({exhausted} of {len(runs)} exhausted the iteration budget)")
+    return min(done, key=lambda r: r.cost)
+
+
+def _double_exp_edge(sep: _Separable, t: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """(theta, on the edge) of a double-exponential optimum, in canonical form.
+
+    Its least-squares infimum often lies on the edge of its region: a rate
+    at the box edge, or NNLS zeroing an amplitude. Each rate is snapped to
+    its nearest box edge when that raises the SSE by no more than relative
+    SOLVE_FTOL, the amplitudes are solved again, and a zero amplitude is
+    reported with the other rate.
+    """
+    lb, ub = _ranges(t)["rate"]
+
+    def sse(w):
+        A, c = sep.solve(w, t, y)
+        return float(np.sum((c @ A - y) ** 2))
+
+    best, snapped = sse(w), False
+    for i in range(2):
+        trial = w.copy()
+        trial[i] = lb if w[i] - lb < ub - w[i] else ub
+        at_edge = sse(trial)
+        if at_edge <= best * (1.0 + SOLVE_FTOL):
+            w, best, snapped = trial, at_edge, True
+    theta = sep.theta(w, sep.solve(w, t, y)[1])
+    if theta[1] == 0.0:
+        theta[2] = theta[4]
+    if theta[3] == 0.0:
+        theta[4] = theta[2]
+    return theta, snapped or min(theta[[0, 1, 3]]) == 0.0
 
 
 def fit_nls(
@@ -253,19 +369,21 @@ def fit_nls(
     tol: float = 1e-6,
     jac: str = "analytic",
 ) -> FitReport:
-    """Fit a curve family to ``series`` by log-reparameterized LM.
+    """Fit a curve family to ``series`` by variable projection.
 
-    The double exponential is fitted by variable projection instead (see
-    ``_fit_double_exp``); a fit whose optimum lies on the edge of its
-    region is returned with ``converged=False`` and ``cov_unreliable``.
-    The families without an analytic Jacobian (all but the two-component
-    curve, or it with ``jac="numeric"``) use MINPACK's forward differences
-    (``_lmdif``). ``init`` overrides the default (moment-seeded,
-    deterministic) start candidates. ``tol`` sets the post-fit stationarity
+    Every family is linear in its amplitudes (``_SEPARABLE``): only its
+    other parameters are iterated, from one start rule (``_fit_coords``),
+    and at each step the amplitudes are solved exactly, nonnegative where
+    the family requires it. A double-exponential optimum on the edge of its
+    region is returned with ``converged=False`` and ``cov_unreliable``. The
+    bi-logistic and double-exponential components come back fastest first.
+
+    ``init`` gives a single start: its nonlinear parameters are used and its
+    amplitudes are solved again. ``tol`` sets the post-fit stationarity
     criterion: the SSE gradient in the fitting coordinates must satisfy
-    ||grad|| < tol * (1 + SSE). The covariance is sigma2 * (J'J)^-1 with the
-    analytic Jacobian for the two-component family (``jac="numeric"`` forces
-    central differences) and a numeric Jacobian otherwise.
+    ||grad|| < tol * (1 + SSE). ``jac`` selects the Jacobian of the
+    covariance sigma2 * (J'J)^-1: analytic for the two-component family
+    (``jac="numeric"`` forces central differences), numeric otherwise.
 
     A J'J condition number beyond 1e12 marks the report ``singular`` (pinv
     covariance, ``cov_unreliable``) rather than failing, except when the fit
@@ -279,61 +397,25 @@ def fit_nls(
     n = len(series)
     if n < k + 1:
         raise InsufficientData(f"need at least {k + 1} points for {family.value}, got {n}")
-    positive = np.array(curves.FAMILY_POSITIVE[family])
+    if init is not None and len(init) != k:
+        raise ValidationError(f"init must have length {k}")
 
-    if init is not None:
-        cands = [np.asarray(init, dtype=float)]
-        if len(cands[0]) != k:
-            raise ValidationError(f"init must have length {k}")
-    else:
-        cands = _init_candidates(family, t, y)
-
-    use_analytic = family == Family.TWO_COMP and jac == "analytic"
-    max_nfev = max_iter * (k + 1)
+    sep = _SEPARABLE[family]
+    res = _fit_coords(sep, t, y, init, max_iter * (k + 1))
     if family == Family.DOUBLE_EXP:
-        theta, nfev, degenerate = _fit_double_exp(t, y, cands, max_nfev)
+        theta, degenerate = _double_exp_edge(sep, t, y, res.x)
     else:
-        def residual(z):
-            return _model(family, t, _from_z(z, positive)) - y
-
-        def jac_z(z):
-            theta = _from_z(z, positive)
-            J = _jac_two_comp(t, theta)
-            chain = np.where(positive, theta, 1.0)
-            return J * chain
-
-        def runs():
-            for cand in cands:
-                z0 = _to_z(cand, positive)
-                if not use_analytic:
-                    yield _lmdif(residual, z0, max_nfev)
-                    continue
-                try:
-                    res = least_squares(
-                        residual,
-                        z0,
-                        jac=jac_z,
-                        method="lm",
-                        xtol=1e-12,
-                        ftol=SOLVE_FTOL,
-                        gtol=1e-12,
-                        max_nfev=max_nfev,
-                    )
-                except Exception:
-                    continue
-                yield res
-
-        res = _best_run(family, runs())
-        theta, nfev, degenerate = _from_z(res.x, positive), res.nfev, False
-    fitted = _model(family, t, theta)
+        theta, degenerate = sep.theta(res.x, sep.solve(res.x, t, y)[1]), False
+    theta, nfev = _canonical(family, theta), res.nfev
+    fitted = curves._eval_values(family, theta, t)
     e = y - fitted
     sse = float(np.dot(e, e))
     msr = sse / n
     aic = 2.0 * k + n * (math.log(msr) if msr > 0 else -math.inf)
     sigma2 = sse / (n - k)
 
-    if use_analytic:
-        J = _jac_two_comp(t, theta)
+    if family == Family.TWO_COMP and jac == "analytic":
+        J = curves._gradient_values(theta, t)[:, curves.FIT_ORDER]
     else:
         J = _numeric_jac(family, t, theta)
     jtj = J.T @ J
@@ -352,7 +434,7 @@ def fit_nls(
         cov = sigma2 * np.linalg.inv(jtj)
     cov = 0.5 * (cov + cov.T)
 
-    chain = np.where(positive, theta, 1.0)
+    chain = np.where(curves.FAMILY_POSITIVE[family], theta, 1.0)
     grad = 2.0 * (J * chain).T @ e
     grad_norm = float(np.linalg.norm(grad))
     converged = not degenerate and grad_norm < tol * (1.0 + sse)
@@ -375,111 +457,21 @@ def fit_nls(
 def _lmdif(residual, z0: np.ndarray, max_nfev: int) -> OptimizeResult:
     """Levenberg-Marquardt with MINPACK's own forward-difference Jacobian.
 
-    ``least_squares(method="lm", jac="2-point")`` runs MINPACK's lmder on a
-    Jacobian differenced in Python, and its result depends on the content of
-    freed heap memory: a fit in a flat valley (logisticbump on enterprise78)
-    then stops at a different point from one process to the next. lmdif,
-    reached through ``leastsq``, gives the same result every time. Returns
-    the fields of a ``least_squares`` result that ``_best_run`` reads;
-    status 0 means the evaluation budget was used up.
+    lmdif (``leastsq``) gives the same result every time, unlike lmder
+    behind ``least_squares`` with a Python-differenced Jacobian. Its step
+    sqrt(eps)*|x| vanishes near x = 0, where the differences drown in
+    rounding, so it iterates x = z - z0 + 100 (a ~1.5e-6 step). Returns the
+    fields of a ``least_squares`` result; status 0: budget used up.
     """
+    shift = np.asarray(z0, dtype=float) - 100.0
     x, _, info, _, ier = leastsq(
-        residual, z0, full_output=True, xtol=1e-12, ftol=SOLVE_FTOL, gtol=1e-12, maxfev=max_nfev
+        lambda x: residual(x + shift), z0 - shift, full_output=True,
+        xtol=1e-12, ftol=SOLVE_FTOL, gtol=1e-12, maxfev=max_nfev,
     )
     f = info["fvec"]
     return OptimizeResult(
-        x=x, cost=0.5 * float(f @ f), nfev=int(info["nfev"]), status=int(ier != 5)
+        x=x + shift, cost=0.5 * float(f @ f), nfev=int(info["nfev"]), status=int(ier != 5)
     )
-
-
-def _best_run(family: Family, runs) -> OptimizeResult:
-    """The lowest-cost solver result; a run that used up its budget, or whose
-    residuals are not finite, is dropped."""
-    best = None
-    exhausted = 0
-    for res in runs:
-        if res.status == 0:
-            exhausted += 1
-        elif math.isfinite(res.cost) and (best is None or res.cost < best.cost):
-            best = res
-    if best is None:
-        raise NonConvergence(
-            f"no start converged for {family.value}"
-            + (f" ({exhausted} exhausted the iteration budget)" if exhausted else "")
-        )
-    return best
-
-
-def _fit_double_exp(
-    t: np.ndarray, y: np.ndarray, cands: list[np.ndarray], max_nfev: int
-) -> tuple[np.ndarray, int, bool]:
-    """Fit k - b1*exp(-r1 t) - b2*exp(-r2 t) by variable projection.
-
-    The model is linear in (k, b1, b2), so only w = (log r2, log(r1 - r2))
-    is iterated, by one bounded trust-region solve per start; ordering the
-    rates (r1 > r2) removes the label symmetry. At each w the amplitudes are
-    the 3-column NNLS solution, nonnegative by construction. Both r2 and
-    r1 - r2 stay in the box [0.01/span, 10/min dt] tied to the design. The
-    starts are the rate pairs of ``cands``, ordered and clipped into the box.
-
-    The family's least-squares infimum often lies on the edge of this
-    region (a rate at the box edge, or NNLS zeroing an amplitude); such a
-    fit is returned in a canonical form and flagged ``degenerate``. Each
-    rate coordinate is snapped to its nearest box edge when that does not
-    raise the SSE beyond the solve's resolution (relative SOLVE_FTOL), and
-    the amplitudes are solved again; a zeroed amplitude is reported as 0.0
-    with its rate set to the other rate. Returns (theta, nfev of the winning
-    start, degenerate). Raises NonConvergence when every start uses up
-    ``max_nfev``.
-    """
-    span = max(float(t[-1] - t[0]), 1e-8)
-    lb = math.log(0.01 / span)
-    ub = math.log(10.0 / float(np.min(np.diff(t))))
-
-    def solve(w):
-        r2 = math.exp(w[0])
-        r1 = r2 + math.exp(w[1])
-        basis = np.column_stack([np.ones_like(t), -np.exp(-r1 * t), -np.exp(-r2 * t)])
-        c, _ = nnls(basis, y)
-        return c, r1, r2, basis @ c - y
-
-    def sse(w):
-        e = solve(w)[3]
-        return float(e @ e)
-
-    def runs():
-        for cand in cands:
-            r1, r2 = max(cand[2], cand[4]), min(cand[2], cand[4])
-            w0 = np.clip(np.log(np.maximum([r2, r1 - r2], 1e-300)), lb, ub)
-            yield least_squares(
-                lambda w: solve(w)[3],
-                w0,
-                bounds=(lb, ub),
-                method="trf",
-                xtol=1e-12,
-                ftol=SOLVE_FTOL,
-                gtol=1e-12,
-                max_nfev=max_nfev,
-            )
-
-    res = _best_run(Family.DOUBLE_EXP, runs())
-    w = res.x.copy()
-    best = sse(w)
-    snapped = False
-    for i in range(2):
-        trial = w.copy()
-        trial[i] = lb if w[i] - lb < ub - w[i] else ub
-        at_edge = sse(trial)
-        if at_edge <= best * (1.0 + SOLVE_FTOL):
-            w, best, snapped = trial, at_edge, True
-    (k, b1, b2), r1, r2, _ = solve(w)
-    if b1 == 0.0:
-        r1 = r2
-    if b2 == 0.0:
-        r2 = r1
-    degenerate = snapped or min(k, b1, b2) == 0.0
-    return np.array([k, b1, r1, b2, r2]), int(res.nfev), degenerate
-
 
 # ---------------------------------------------------------------------------
 # boundary-moment identification
@@ -562,9 +554,8 @@ def delta_ci_tstar(fit: FitReport, level: float = 0.95) -> TstarDelta:
     report = curves.classify_phase(theta)
     if report.t_star is None:
         raise NoInteriorExtremum("fit has no interior extremum; t* CI undefined")
-    g = curves.tstar_sensitivities(theta)  # (alpha, beta, n0, umax)
-    g_fit = np.array([g[2], g[0], g[3], g[1]])  # -> (n0, alpha, umax, beta)
-    var = float(g_fit @ fit.cov @ g_fit)
+    g = curves.tstar_sensitivities(theta)[curves.FIT_ORDER]
+    var = float(g @ fit.cov @ g)
     var = max(var, 0.0)
     z = ndtri(0.5 + level / 2.0)
     half = z * math.sqrt(var)
@@ -741,22 +732,23 @@ class ProfileCI:
 
 
 def _profile_sse(series: TimeSeries, t0: float, start: np.ndarray) -> tuple[float, np.ndarray]:
-    """SSE minimized over (alpha, umax, beta) with n0 pinned so that t*(theta) = t0."""
+    """SSE minimized over (alpha, umax, beta) with n0 pinned so that t*(theta) = t0.
+
+    With n0 = (beta*umax/alpha) * exp(t0*(alpha - beta)) the model is umax
+    times one column, so only w = (log alpha, log beta) is iterated (from
+    ``start``) and umax >= 0 is solved at each w. Returns (SSE, w).
+    """
     t, y = series.times, series.values
 
-    def unpack(z):
-        alpha, umax, beta = np.exp(np.clip(z, -30.0, 30.0))
-        n0 = (beta * umax / alpha) * math.exp(t0 * (alpha - beta))
-        return n0, alpha, umax, beta
+    def residual(w):
+        alpha, beta = np.exp(np.clip(w, -30.0, 30.0))
+        a = (beta / alpha) * np.exp(t0 * (alpha - beta) - alpha * t) + 1.0 - np.exp(-beta * t)
+        return max(float(a @ y), 0.0) / float(a @ a) * a - y
 
-    def residual(z):
-        n0, alpha, umax, beta = unpack(z)
-        return n0 * np.exp(-alpha * t) + umax * (1.0 - np.exp(-beta * t)) - y
-
-    res = least_squares(residual, np.log(start), method="lm", xtol=1e-12, ftol=1e-12, max_nfev=4000)
+    res = _lmdif(residual, start, 4000)
     if res.status == 0:
         raise NonConvergence(f"profile fit did not converge at t0={t0}")
-    return 2.0 * res.cost, np.exp(res.x)
+    return 2.0 * res.cost, res.x
 
 
 def profile_ci_tstar(series: TimeSeries, level: float = 0.95, max_steps: int = 400) -> ProfileCI:
@@ -777,7 +769,7 @@ def profile_ci_tstar(series: TimeSeries, level: float = 0.95, max_steps: int = 4
     step = max(t_star, 1e-3) * 0.05
 
     def walk(direction: int) -> tuple[float, int]:
-        start = np.array([theta.alpha, theta.umax, theta.beta])
+        start = np.log([theta.alpha, theta.beta])
         prev_t, prev_sse = t_star, sse_hat
         skipped = 0
         for j in range(1, max_steps + 1):

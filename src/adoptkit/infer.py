@@ -174,7 +174,7 @@ def constrained_lr(
         t, y = series.times, series.values
 
         def residual(w):
-            return estimate._model(Family.TWO_COMP, t, _monotone_theta(w)) - y
+            return curves._eval_values(Family.TWO_COMP, _monotone_theta(w), t) - y
 
         def jac(w):
             n0_, alpha_, umax_, beta_ = _monotone_theta(w)
@@ -184,7 +184,8 @@ def constrained_lr(
                 [0.0, 0.0, umax_, 0.0],
                 [beta_, 0.0, 0.0, 0.0],
             ])
-            return estimate._jac_two_comp(t, (n0_, alpha_, umax_, beta_)) @ dtheta_dw
+            J = curves._gradient_values((n0_, alpha_, umax_, beta_), t)[:, curves.FIT_ORDER]
+            return J @ dtheta_dw
 
         w0 = np.array([
             math.log(beta),
