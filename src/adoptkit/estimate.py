@@ -197,6 +197,23 @@ _SEPARABLE = {
     )
 }
 
+
+class _MonotoneCone(_Separable):
+    """The nondecreasing two-component curves (alpha >= beta): amplitudes
+    >= 0 times u = (1 - exp(-beta*t))/beta and exp(-alpha*t) + alpha*u (the
+    rays n0 = 0 and alpha*n0 = beta*umax, over beta) at w = (log beta,
+    log(alpha - beta)). The limits keep finite columns, to rounding at the
+    clip w = -40: t and exp(-alpha*t) + alpha*t as beta -> 0 (a deep
+    trough's infimum), u and 1 as alpha -> beta."""
+
+    def design(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
+        beta, gap = self.params(w).T[..., None] if w.ndim > 1 else self.params(w).tolist()
+        u = np.expm1(-beta * t) / -beta
+        return np.array([u, np.exp(-(beta + gap) * t) + (beta + gap) * u])
+
+
+_MONOTONE_CONE = _MonotoneCone(Family.TWO_COMP, [0, 2], ("rate", "rate"))
+
 #: theta positions (amplitude first, rate last) of interchangeable components
 _COMPONENTS = {Family.BI_LOGISTIC: ([0, 1, 2], [3, 4, 5]), Family.DOUBLE_EXP: ([1, 2], [3, 4])}
 
@@ -275,6 +292,13 @@ def _grid(sep: _Separable, t: np.ndarray, y: np.ndarray, w: np.ndarray, pair: in
     return W, _amplitudes(G, b, nonneg, np.where)[1] + offset
 
 
+def _grid_minima(W: np.ndarray, val: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` best 3x3-neighbourhood minima of a ``_grid`` result, best first."""
+    V = np.pad(val.reshape(GRID_POINTS, GRID_POINTS), 1, constant_values=np.inf)
+    lows = np.flatnonzero(val <= sliding_window_view(V, (3, 3)).min(axis=(2, 3)).ravel())
+    return W[lows[np.argsort(val[lows])][:count]]
+
+
 def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, init, max_nfev: int) -> OptimizeResult:
     """The coordinates w, polished from ``init`` or from the start rule.
 
@@ -316,9 +340,7 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, init, max_nfev: i
         else:
             lead = _fit_coords(_SEPARABLE[Family.LOGISTIC], t, y, None, max_nfev).x
             W, val = _grid(sep, t, y, np.concatenate([lead, lead]), 2)
-            V = np.pad(val.reshape(GRID_POINTS, GRID_POINTS), 1, constant_values=np.inf)
-            lows = np.flatnonzero(val <= sliding_window_view(V, (3, 3)).min(axis=(2, 3)).ravel())
-            firsts = [polish(W[i]) for i in lows[np.argsort(val[lows])][:3]]
+            firsts = [polish(w0) for w0 in _grid_minima(W, val, 3)]
             yield from firsts
             yield polish(grid_best(min(firsts, key=lambda r: r.cost).x, 0)[0])
 
@@ -329,6 +351,26 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, init, max_nfev: i
         raise NonConvergence(f"no start converged for {sep.family.value} "
                              f"({exhausted} of {len(runs)} exhausted the iteration budget)")
     return min(done, key=lambda r: r.cost)
+
+
+def _monotone_sse(t: np.ndarray, y: np.ndarray, theta: ThetaTwoComp) -> float:
+    """The least SSE of a nondecreasing two-component curve, polished from
+    ``theta`` (a free fit; on the alpha = beta limit if alpha <= beta) and
+    the two best local minima of the start grid. Both limits are flat in w:
+    a polish heading for one crawls, a start on one gives its value exactly.
+    Raises NonConvergence when no polish ends within 5000 evaluations."""
+
+    def residual(w):
+        A, c = _MONOTONE_CONE.solve(w, t, y)
+        return c @ A - y
+
+    gap = theta.alpha - theta.beta
+    free = np.array([math.log(theta.beta), math.log(gap) if gap > 0 else -40.0])
+    starts = [free, *_grid_minima(*_grid(_MONOTONE_CONE, t, y, np.zeros(2), 0), 2)]
+    done = [r for r in (_lmdif(residual, w0, 5000) for w0 in starts) if r.status != 0]
+    if not done:
+        raise NonConvergence("monotone-constrained fit exhausted its evaluation budget")
+    return 2.0 * min(r.cost for r in done)
 
 
 def _double_exp_edge(sep: _Separable, t: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -729,6 +771,8 @@ class ProfileCI:
     t_star: float
     level: float
     n_skipped: int
+    lower_reached: bool
+    upper_reached: bool
 
 
 def _profile_sse(series: TimeSeries, t0: float, start: np.ndarray) -> tuple[float, np.ndarray]:
@@ -754,8 +798,9 @@ def _profile_sse(series: TimeSeries, t0: float, start: np.ndarray) -> tuple[floa
 def profile_ci_tstar(series: TimeSeries, level: float = 0.95, max_steps: int = 400) -> ProfileCI:
     """Invert the profile likelihood in t* by constrained refitting.
 
-    CI = {t0 : n*log(SSE(t0)/SSE_hat) <= chi2_1 quantile}. Grid points where
-    the constrained refit fails are skipped and counted.
+    CI = {t0 : n*log(SSE(t0)/SSE_hat) <= chi2_1 quantile}. A bound not found
+    within ``max_steps`` steps, or clipped at t = 0, is flagged not reached.
+    Grid points where the constrained refit fails are skipped and counted.
     """
     fit = fit_nls(series, Family.TWO_COMP)
     theta = fit.theta_two_comp()
@@ -768,14 +813,14 @@ def profile_ci_tstar(series: TimeSeries, level: float = 0.95, max_steps: int = 4
     threshold = sse_hat * math.exp(2.0 * gammaincinv(0.5, level) / n)
     step = max(t_star, 1e-3) * 0.05
 
-    def walk(direction: int) -> tuple[float, int]:
+    def walk(direction: int) -> tuple[float, int, bool]:
         start = np.log([theta.alpha, theta.beta])
         prev_t, prev_sse = t_star, sse_hat
         skipped = 0
         for j in range(1, max_steps + 1):
             t0 = t_star + direction * j * step
             if t0 <= step * 1e-3:
-                return max(prev_t + direction * step, 0.0), skipped
+                return max(prev_t + direction * step, 0.0), skipped, False
             try:
                 sse, start = _profile_sse(series, t0, start)
             except NonConvergence:
@@ -786,13 +831,13 @@ def profile_ci_tstar(series: TimeSeries, level: float = 0.95, max_steps: int = 4
                     frac = (threshold - prev_sse) / (sse - prev_sse)
                 else:
                     frac = 1.0
-                return prev_t + direction * abs(t0 - prev_t) * frac, skipped
+                return prev_t + direction * abs(t0 - prev_t) * frac, skipped, True
             prev_t, prev_sse = t0, sse
-        return prev_t, skipped
+        return prev_t, skipped, False
 
-    lo, sk_lo = walk(-1)
-    hi, sk_hi = walk(+1)
-    return ProfileCI(lower=lo, upper=hi, t_star=t_star, level=level, n_skipped=sk_lo + sk_hi)
+    lo, sk_lo, lo_reached = walk(-1)
+    hi, sk_hi, hi_reached = walk(+1)
+    return ProfileCI(lo, hi, t_star, level, sk_lo + sk_hi, lo_reached, hi_reached)
 
 
 # ---------------------------------------------------------------------------

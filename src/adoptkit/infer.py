@@ -11,14 +11,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.special import chdtrc, fdtrc, ndtr
 
 from . import curves, estimate
 from .curves import Family
 from .errors import (
     DegenerateRegressor,
-    NonConvergence,
     TooShort,
     ValidationError,
     ZeroResidualNorm,
@@ -130,25 +128,17 @@ def vuong(loglik_a, loglik_b, k_a: int, k_b: int) -> TestResult:
 # constrained LR: monotone vs trough within the two-component family
 # ---------------------------------------------------------------------------
 
-def _monotone_theta(w: np.ndarray) -> np.ndarray:
-    """Map box coordinates w = (log beta, d, log umax, s) to (n0, alpha, umax, beta)."""
-    beta, umax = np.exp(np.clip(w[[0, 2]], -40.0, 40.0))
-    alpha = beta + w[1]
-    return np.array([w[3] * beta * umax / alpha, alpha, umax, beta])
-
-
 def constrained_lr(
     series: estimate.TimeSeries, fit: estimate.FitReport | None = None
 ) -> TestResult:
     """Likelihood ratio of the free two-component fit against the monotone region.
 
-    The monotone (nondecreasing) region {alpha >= beta, beta*umax >= alpha*n0}
-    is the image of the box d >= 0, 0 <= s <= 1 under alpha = beta + d,
-    n0 = s*beta*umax/alpha, so the constrained fit is one bounded
-    trust-region least-squares solve in w = (log beta, d, log umax, s),
-    started from the free fit projected onto the box, with the package's
-    two-component Jacobian chained through dtheta/dw. A free fit that is
-    already monotone gives Lambda = 0 with no solve.
+    The monotone (nondecreasing) curves form a cone: with alpha >= beta, the
+    nonnegative combinations of two columns over w = (log beta,
+    log(alpha - beta)) (``estimate._MonotoneCone``). So the constrained SSE
+    is a variable-projection fit (``estimate._monotone_sse``). A free fit
+    that is already monotone (``curves.monotone_condition``) gives
+    Lambda = 0 with no solve.
 
     Lambda = n * log(SSE_constrained / SSE_free), reported as 0 (p = 1) when
     the log-ratio is at most the solve's SSE resolution
@@ -161,52 +151,16 @@ def constrained_lr(
     ``fit`` is the free two-component fit of ``series`` when the caller
     already has it (ValidationError for another family); the result is the
     same as with ``fit=None``, which fits it here. Raises NonConvergence when
-    the bounded fit exhausts its evaluation budget.
+    no polish of the constrained fit ends within its evaluation budget.
     """
     if fit is None:
         fit = estimate.fit_nls(series, Family.TWO_COMP)
     th = fit.theta_two_comp()
-    n0, alpha, umax, beta = th.n0, th.alpha, th.umax, th.beta
     sse_u = fit.sse
-    if alpha >= beta and beta * umax >= alpha * n0:
+    if curves.monotone_condition(th):
         lam = 0.0
     else:
-        t, y = series.times, series.values
-
-        def residual(w):
-            return curves._eval_values(Family.TWO_COMP, _monotone_theta(w), t) - y
-
-        def jac(w):
-            n0_, alpha_, umax_, beta_ = _monotone_theta(w)
-            dtheta_dw = np.array([
-                [n0_ * w[1] / alpha_, -n0_ / alpha_, n0_, beta_ * umax_ / alpha_],
-                [beta_, 1.0, 0.0, 0.0],
-                [0.0, 0.0, umax_, 0.0],
-                [beta_, 0.0, 0.0, 0.0],
-            ])
-            J = curves._gradient_values((n0_, alpha_, umax_, beta_), t)[:, curves.FIT_ORDER]
-            return J @ dtheta_dw
-
-        w0 = np.array([
-            math.log(beta),
-            max(alpha - beta, 0.0),
-            math.log(umax),
-            min(1.0, alpha * n0 / (beta * umax)),
-        ])
-        res = least_squares(
-            residual,
-            w0,
-            jac=jac,
-            bounds=([-np.inf, 0.0, -np.inf, 0.0], [np.inf, np.inf, np.inf, 1.0]),
-            method="trf",
-            xtol=1e-12,
-            ftol=estimate.SOLVE_FTOL,
-            gtol=1e-12,
-            max_nfev=5000,
-        )
-        if res.status == 0:
-            raise NonConvergence("monotone-constrained fit exhausted its evaluation budget")
-        sse_c = float(res.fun @ res.fun)
+        sse_c = estimate._monotone_sse(series.times, series.values, th)
         log_ratio = math.log(sse_c / sse_u) if sse_u > 0 else 0.0
         lam = len(series) * log_ratio if log_ratio > estimate.SOLVE_FTOL else 0.0
     p = 1.0 if lam <= 0.0 else float(0.5 * chdtrc(1, lam))

@@ -360,6 +360,21 @@ class TestProfileCi:
         with pytest.raises(ak.errors.NoInteriorExtremum):
             ak.profile_ci_tstar(series)
 
+    def test_truncated_walk_is_flagged(self):
+        series = simgen.gen_series(self.THETA, fisher.GaussianIid(0.05), 21, 20.0, seed=(42, 0))
+        ci = ak.profile_ci_tstar(series)
+        assert ci.lower_reached and ci.upper_reached
+        short = ak.profile_ci_tstar(series, max_steps=1)
+        assert not short.lower_reached and not short.upper_reached
+        assert ci.lower < short.lower < short.t_star < short.upper < ci.upper
+
+    def test_bound_clipped_at_zero_is_flagged(self):
+        theta = ThetaTwoComp(1.0, 2.0, 2.0, 0.5)
+        series = simgen.gen_series(theta, fisher.GaussianIid(0.1), 21, 20.0, seed=(43, 1))
+        ci = ak.profile_ci_tstar(series)
+        assert ci.lower == 0.0 and not ci.lower_reached
+        assert ci.upper_reached
+
 
 class TestEmbeddingGradient:
     def test_reference_cohorts(self):
@@ -488,3 +503,25 @@ class TestProfileSse:
         start = np.log([theta.alpha, theta.beta])
         sse, _ = estimate._profile_sse(series, ak.critical_time(theta), start)
         assert sse == pytest.approx(fit.sse, rel=1e-8)
+
+
+class TestMonotoneCone:
+    T = np.linspace(0.0, 20.0, 41)
+
+    def test_limits_are_finite_columns(self):
+        cone = estimate._MONOTONE_CONE
+        alpha = math.exp(-40.0) + 0.7
+        ridge = cone.design(np.array([-40.0, math.log(0.7)]), self.T)
+        assert ridge[0] == pytest.approx(self.T, rel=1e-12, abs=1e-12)
+        assert ridge[1] == pytest.approx(np.exp(-alpha * self.T) + alpha * self.T, rel=1e-12)
+        beta = 0.3
+        equal = cone.design(np.array([math.log(beta), -40.0]), self.T)
+        assert equal[0] == pytest.approx(-np.expm1(-beta * self.T) / beta, rel=1e-12, abs=1e-12)
+        assert equal[1] == pytest.approx(np.ones_like(self.T), rel=1e-12)
+
+    def test_grid_takes_the_same_columns(self):
+        cone = estimate._MONOTONE_CONE
+        W = np.array([[-40.0, math.log(0.7)], [math.log(0.3), -40.0], [-1.0, -2.0]])
+        A = cone.design(W, self.T)
+        for i, w in enumerate(W):
+            assert A[:, i] == pytest.approx(cone.design(w, self.T), rel=1e-15)

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 import adoptkit as ak
-from adoptkit import datasets, fisher, infer, simgen
+from adoptkit import datasets, estimate, fisher, infer, simgen
 from adoptkit.curves import ComparatorParams, Family, ThetaTwoComp
 from adoptkit.errors import (
     DegenerateRegressor,
@@ -216,13 +216,21 @@ class TestConstrainedLR:
         assert res.statistic == 0.0
         assert res.p_value == 1.0
 
-    def test_exhausted_budget_raises(self, monkeypatch):
-        least_squares = infer.least_squares
-        monkeypatch.setattr(
-            infer, "least_squares", lambda *a, **kw: least_squares(*a, **{**kw, "max_nfev": 1})
+    def test_deep_trough_reaches_the_ridge(self):
+        # the monotone fit has no minimiser here: its infimum is the beta -> 0
+        # limit n0*exp(-alpha*t) + c*t, whose SSE gives this value exactly
+        series = simgen.gen_series(
+            ThetaTwoComp(3.0, 0.8, 2.0, 0.25), fisher.GaussianIid(0.05), 41, 20.0, seed=(201, 194)
         )
+        assert infer.constrained_lr(series).statistic == pytest.approx(151.33259, rel=1e-6)
+
+    def test_exhausted_budget_raises(self, monkeypatch):
+        series = datasets.load_builtin("enterprise78").series
+        fit = ak.fit_nls(series, "twocomp")
+        leastsq = estimate.leastsq
+        monkeypatch.setattr(estimate, "leastsq", lambda *a, **kw: leastsq(*a, **{**kw, "maxfev": 1}))
         with pytest.raises(NonConvergence):
-            infer.constrained_lr(datasets.load_builtin("enterprise78").series)
+            infer.constrained_lr(series, fit=fit)
 
 
 class TestShapeTest:
