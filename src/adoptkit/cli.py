@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--family", default="twocomp", choices=[f.value for f in Family])
     p.add_argument("--init", default=None, help="comma-separated start values")
-    p.add_argument("--max-iter", type=int, default=400, help="LM iteration budget")
+    p.add_argument("--max-iter", type=int, default=1000, help="LM iteration budget")
     p.add_argument("--tol", type=float, default=1e-6, help="stationarity tolerance")
     p.add_argument("--out", default=None, help="also write JSON to this path")
     p.set_defaults(func=cmd_fit)

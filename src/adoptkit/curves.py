@@ -156,11 +156,6 @@ def _check_times(t):
     return t
 
 
-def two_comp(t, theta: ThetaTwoComp):
-    t = _check_times(t)
-    return theta.n0 * np.exp(-theta.alpha * t) + theta.umax * (1.0 - np.exp(-theta.beta * t))
-
-
 def _eval_values(family: Family, values, t):
     if family == Family.TWO_COMP:
         n0, alpha, umax, beta = values

@@ -299,8 +299,9 @@ def _grid_minima(W: np.ndarray, val: np.ndarray, count: int) -> np.ndarray:
     return W[lows[np.argsort(val[lows])][:count]]
 
 
-def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, init, max_nfev: int) -> OptimizeResult:
-    """The coordinates w, polished from ``init`` or from the start rule.
+def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev: int) -> OptimizeResult:
+    """The coordinates w, polished from each of ``starts`` (a list of w),
+    or from the start rule's starts when ``starts`` is None.
 
     The two-coordinate families start from the best point of a grid over
     their box; the two-component curve from the best one on each side of
@@ -332,8 +333,8 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, init, max_nfev: i
         return [W[side][np.argmin(val[side])] for side in sides]
 
     def polishes():
-        if init is not None:
-            yield polish(sep.coords(_canonical(sep.family, np.asarray(init, dtype=float))))
+        if starts is not None:
+            yield from map(polish, starts)
         elif len(sep.box) == 2:
             for w0 in grid_best(np.zeros(2), 0, split=sep.family == Family.TWO_COMP):
                 yield polish(w0)
@@ -354,23 +355,16 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, init, max_nfev: i
 
 
 def _monotone_sse(t: np.ndarray, y: np.ndarray, theta: ThetaTwoComp) -> float:
-    """The least SSE of a nondecreasing two-component curve, polished from
-    ``theta`` (a free fit; on the alpha = beta limit if alpha <= beta) and
-    the two best local minima of the start grid. Both limits are flat in w:
-    a polish heading for one crawls, a start on one gives its value exactly.
-    Raises NonConvergence when no polish ends within 5000 evaluations."""
-
-    def residual(w):
-        A, c = _MONOTONE_CONE.solve(w, t, y)
-        return c @ A - y
-
+    """The least SSE of a nondecreasing two-component curve, polished by
+    ``_fit_coords`` from ``theta`` (a free fit; on the alpha = beta limit if
+    alpha <= beta) and the two best local minima of the start grid. Both
+    limits are flat in w: a polish heading for one crawls, a start on one
+    gives its value exactly. Raises NonConvergence when no polish ends
+    within 5000 evaluations."""
     gap = theta.alpha - theta.beta
     free = np.array([math.log(theta.beta), math.log(gap) if gap > 0 else -40.0])
     starts = [free, *_grid_minima(*_grid(_MONOTONE_CONE, t, y, np.zeros(2), 0), 2)]
-    done = [r for r in (_lmdif(residual, w0, 5000) for w0 in starts) if r.status != 0]
-    if not done:
-        raise NonConvergence("monotone-constrained fit exhausted its evaluation budget")
-    return 2.0 * min(r.cost for r in done)
+    return 2.0 * _fit_coords(_MONOTONE_CONE, t, y, starts, 5000).cost
 
 
 def _double_exp_edge(sep: _Separable, t: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -409,7 +403,6 @@ def fit_nls(
     init=None,
     max_iter: int = 1000,
     tol: float = 1e-6,
-    jac: str = "analytic",
 ) -> FitReport:
     """Fit a curve family to ``series`` by variable projection.
 
@@ -423,9 +416,9 @@ def fit_nls(
     ``init`` gives a single start: its nonlinear parameters are used and its
     amplitudes are solved again. ``tol`` sets the post-fit stationarity
     criterion: the SSE gradient in the fitting coordinates must satisfy
-    ||grad|| < tol * (1 + SSE). ``jac`` selects the Jacobian of the
-    covariance sigma2 * (J'J)^-1: analytic for the two-component family
-    (``jac="numeric"`` forces central differences), numeric otherwise.
+    ||grad|| < tol * (1 + SSE). The Jacobian J of the covariance
+    sigma2 * (J'J)^-1 is analytic for the two-component family, central
+    differences otherwise.
 
     A J'J condition number beyond 1e12 marks the report ``singular`` (pinv
     covariance, ``cov_unreliable``) rather than failing, except when the fit
@@ -443,7 +436,8 @@ def fit_nls(
         raise ValidationError(f"init must have length {k}")
 
     sep = _SEPARABLE[family]
-    res = _fit_coords(sep, t, y, init, max_iter * (k + 1))
+    starts = None if init is None else [sep.coords(_canonical(family, np.asarray(init, dtype=float)))]
+    res = _fit_coords(sep, t, y, starts, max_iter * (k + 1))
     if family == Family.DOUBLE_EXP:
         theta, degenerate = _double_exp_edge(sep, t, y, res.x)
     else:
@@ -456,7 +450,7 @@ def fit_nls(
     aic = 2.0 * k + n * (math.log(msr) if msr > 0 else -math.inf)
     sigma2 = sse / (n - k)
 
-    if family == Family.TWO_COMP and jac == "analytic":
+    if family == Family.TWO_COMP:
         J = curves._gradient_values(theta, t)[:, curves.FIT_ORDER]
     else:
         J = _numeric_jac(family, t, theta)
@@ -786,7 +780,11 @@ def _profile_sse(series: TimeSeries, t0: float, start: np.ndarray) -> tuple[floa
 
     def residual(w):
         alpha, beta = np.exp(np.clip(w, -30.0, 30.0))
-        a = (beta / alpha) * np.exp(t0 * (alpha - beta) - alpha * t) + 1.0 - np.exp(-beta * t)
+        e = t0 * (alpha - beta) - alpha * t
+        # the fit does not depend on the column's scale: where its square
+        # could overflow, it is divided by exp(m), m from its largest exponent
+        m = max(float(e[0]) - 300.0, 0.0)
+        a = (beta / alpha) * np.exp(e - m) + np.exp(-m) - np.exp(-m - beta * t)
         return max(float(a @ y), 0.0) / float(a @ a) * a - y
 
     res = _lmdif(residual, start, 4000)
@@ -820,7 +818,7 @@ def profile_ci_tstar(series: TimeSeries, level: float = 0.95, max_steps: int = 4
         for j in range(1, max_steps + 1):
             t0 = t_star + direction * j * step
             if t0 <= step * 1e-3:
-                return max(prev_t + direction * step, 0.0), skipped, False
+                return 0.0, skipped, False
             try:
                 sse, start = _profile_sse(series, t0, start)
             except NonConvergence:

@@ -198,12 +198,12 @@ def info_matrix(theta: ThetaTwoComp, times, em: ErrorModel) -> InfoReport:
         scale = np.max(np.abs(info))
         simplified_diff = float(np.max(np.abs(simplified - info)) / scale)
     elif isinstance(em, PoissonCounts):
-        lam = em.kappa * curves.two_comp(times, theta)
+        lam = em.kappa * curves.eval_curve(theta, times)
         if np.any(lam <= 0):
             raise PoissonBoundary("kappa*A(t) must be positive at every design point")
         info = G.T @ (G * (em.kappa**2 / lam)[:, None])
     elif isinstance(em, BinomialCounts):
-        p = curves.two_comp(times, theta) / em.m
+        p = curves.eval_curve(theta, times) / em.m
         if np.any((p <= 0) | (p >= 1)):
             raise BinomialBoundary("A(t)/M must lie strictly inside (0,1)")
         trials = np.broadcast_to(np.asarray(em.trials, dtype=float), times.shape)
@@ -270,7 +270,7 @@ def sample_observations(theta: ThetaTwoComp, times, em: ErrorModel, rng: np.rand
     sigma^2 rho^|i-j| used by info_matrix.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    mean = curves.two_comp(times, theta)
+    mean = curves.eval_curve(theta, times)
     if isinstance(em, GaussianIid):
         return mean + em.sigma * rng.standard_normal(len(times))
     if isinstance(em, GaussianAr1):

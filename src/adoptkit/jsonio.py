@@ -66,43 +66,42 @@ def dumps_canonical(obj) -> str:
 # CSV
 # ---------------------------------------------------------------------------
 
-def load_csv(path, t_col: str = "t", y_col: str = "y", dow_col: str | None = None) -> TimeSeries:
-    """Load a TimeSeries from a headered, decimal-point, UTF-8 CSV file."""
+def _rows(path, columns) -> list[tuple[int, dict]]:
+    """(file row number, row) of each data row of a headered, UTF-8 CSV
+    file; raises ParseError unless the file has ``columns`` and a data row."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"no such file: {path}")
-    times: list[float] = []
-    values: list[float] = []
-    dows: list[int] = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ParseError("empty file, header row required")
-        for col in [t_col, y_col] + ([dow_col] if dow_col else []):
+        for col in columns:
             if col not in reader.fieldnames:
                 raise ParseError(f"missing column {col!r} in header {reader.fieldnames}")
-        for i, row in enumerate(reader, start=2):
-            try:
-                times.append(float(row[t_col]))
-            except (TypeError, ValueError):
-                raise ParseError(f"invalid value {row.get(t_col)!r}", row=i, column=t_col) from None
-            try:
-                values.append(float(row[y_col]))
-            except (TypeError, ValueError):
-                raise ParseError(f"invalid value {row.get(y_col)!r}", row=i, column=y_col) from None
-            if dow_col:
-                try:
-                    dows.append(int(row[dow_col]))
-                except (TypeError, ValueError):
-                    raise ParseError(
-                        f"invalid value {row.get(dow_col)!r}", row=i, column=dow_col
-                    ) from None
-    if len(times) == 0:
+        rows = list(enumerate(reader, start=2))
+    if not rows:
         raise ParseError("no data rows")
+    return rows
+
+
+def load_csv(path, t_col: str = "t", y_col: str = "y", dow_col: str | None = None) -> TimeSeries:
+    """Load a TimeSeries from a headered, decimal-point, UTF-8 CSV file."""
+    columns = [(t_col, float), (y_col, float)] + ([(dow_col, int)] if dow_col else [])
+    parsed = []
+    for i, row in _rows(path, [col for col, _ in columns]):
+        cells = []
+        for col, kind in columns:
+            try:
+                cells.append(kind(row[col]))
+            except (TypeError, ValueError):
+                raise ParseError(f"invalid value {row.get(col)!r}", row=i, column=col) from None
+        parsed.append(cells)
+    times, values, *dows = zip(*parsed)
     t = np.asarray(times)
     if np.any(np.diff(t) <= 0):
         raise NonMonotoneTime("time column must be strictly increasing")
-    return TimeSeries(t, np.asarray(values), dow=np.asarray(dows) if dow_col else None)
+    return TimeSeries(t, np.asarray(values), dow=np.asarray(dows[0]) if dow_col else None)
 
 
 def save_csv(series: TimeSeries, path, t_col: str = "t", y_col: str = "y") -> None:
@@ -123,32 +122,13 @@ def load_task_economy(path, c_time: float = 1.0, c_fric: float = 1.0):
     """Load a TaskEconomy from a CSV with columns v, c_f, tau, phi, w."""
     from .econ import Task, TaskEconomy
 
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"no such file: {path}")
+    columns = ("v", "c_f", "tau", "phi", "w")
     tasks = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError("empty file, header row required")
-        for col in ("v", "c_f", "tau", "phi", "w"):
-            if col not in reader.fieldnames:
-                raise ParseError(f"missing column {col!r} in header {reader.fieldnames}")
-        for i, row in enumerate(reader, start=2):
-            try:
-                tasks.append(
-                    Task(
-                        v=float(row["v"]),
-                        c_f=float(row["c_f"]),
-                        tau=float(row["tau"]),
-                        phi=float(row["phi"]),
-                        w=float(row["w"]),
-                    )
-                )
-            except (TypeError, ValueError):
-                raise ParseError("invalid task row", row=i) from None
-    if not tasks:
-        raise ParseError("no data rows")
+    for i, row in _rows(path, columns):
+        try:
+            tasks.append(Task(*(float(row[col]) for col in columns)))
+        except (TypeError, ValueError):
+            raise ParseError("invalid task row", row=i) from None
     return TaskEconomy(tuple(tasks), c_time=c_time, c_fric=c_fric)
 
 

@@ -101,7 +101,7 @@ def trough_depth(theta: ThetaTwoComp) -> float:
     report = curves.classify_phase(theta)
     if report.kind != PhaseKind.TROUGH:
         return 0.0
-    a_star = float(curves.two_comp(report.t_star, theta))
+    a_star = float(curves.eval_curve(theta, report.t_star))
     return (theta.n0 - a_star) / theta.umax
 
 
@@ -166,24 +166,6 @@ class ScenarioGrid:
             raise ValidationError("replicates must be >= 1")
         if any(n < 5 for n in ns):
             raise ValidationError("n_points must be >= 5")
-
-
-def default_grid(replicates: int = 500, seed: int = 0) -> ScenarioGrid:
-    """Desk-scale default: depths x sigma x rho x n per the documented conventions."""
-    from .fisher import GaussianAr1
-
-    thetas = tuple(theta_for_depth(d) for d in (0.0, 0.1, 0.2, 0.3))
-    ems: list[ErrorModel] = []
-    for sigma in (0.02, 0.05, 0.1):
-        for rho in (0.0, 0.3, 0.6):
-            ems.append(GaussianIid(sigma) if rho == 0.0 else GaussianAr1(sigma, rho))
-    return ScenarioGrid(
-        thetas=thetas,
-        error_models=tuple(ems),
-        n_points=(21, 41),
-        replicates=replicates,
-        seed=seed,
-    )
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Command-line surface: JSON determinism, exit codes, and I/O."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from adoptkit import cli, datasets, econ, jsonio
+from adoptkit import cli, datasets, econ, estimate, jsonio
 from adoptkit.errors import NonMonotoneTime, ParseError
 
 SUBCOMMANDS = [
@@ -60,6 +61,10 @@ class TestPhase:
 
 
 class TestFitAndCompare:
+    def test_fit_budget_default_is_the_library_default(self):
+        args = cli.build_parser().parse_args(["fit", "--data", "builtin:synthetic21"])
+        assert args.max_iter == inspect.signature(estimate.fit_nls).parameters["max_iter"].default
+
     def test_fit_builtin_beats_bass(self, capsys):
         two = run_json(capsys, ["fit", "--data", "builtin:synthetic21", "--family", "twocomp"])
         bass = run_json(capsys, ["fit", "--data", "builtin:synthetic21", "--family", "bass"])
@@ -227,6 +232,25 @@ class TestSimulateAndIo:
         with pytest.raises(ParseError) as e:
             jsonio.load_csv(path)
         assert e.value.row == 3 and e.value.column == "t"
+
+    def test_economy_missing_column(self, tmp_path):
+        path = tmp_path / "econ.csv"
+        path.write_text("v,c_f,tau,w\n1.0,2.0,0.1,1.0\n")
+        with pytest.raises(ParseError, match="missing column 'phi'"):
+            jsonio.load_task_economy(path)
+
+    def test_economy_invalid_row_carries_location(self, tmp_path):
+        path = tmp_path / "econ.csv"
+        path.write_text("v,c_f,tau,phi,w\n1.0,2.0,0.1,0.0,0.5\n1.5,x,0.2,0.1,0.5\n")
+        with pytest.raises(ParseError, match="invalid task row") as e:
+            jsonio.load_task_economy(path)
+        assert e.value.row == 3 and e.value.column is None
+
+    def test_economy_header_only(self, tmp_path):
+        path = tmp_path / "econ.csv"
+        path.write_text("v,c_f,tau,phi,w\n")
+        with pytest.raises(ParseError, match="no data rows"):
+            jsonio.load_task_economy(path)
 
     def test_cli_exit_codes(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import adoptkit as ak
-from adoptkit import datasets, estimate, fisher, simgen
+from adoptkit import curves, datasets, estimate, fisher, simgen
 from adoptkit.curves import Family, ThetaTwoComp
 from adoptkit.errors import (
     DegenerateDesign,
@@ -57,10 +57,15 @@ class TestFitNls:
 
     def test_analytic_and_numeric_jacobian_agree(self):
         series = datasets.synthetic21().series
-        fa = ak.fit_nls(series, jac="analytic")
-        fn = ak.fit_nls(series, jac="numeric")
-        assert fa.theta == pytest.approx(fn.theta, rel=1e-6)
-        assert np.allclose(fa.cov, fn.cov, rtol=1e-3)
+        fit = ak.fit_nls(series)
+
+        def cov(J):
+            return fit.sigma2 * np.linalg.inv(J.T @ J)
+
+        analytic = cov(curves._gradient_values(fit.theta, series.times)[:, curves.FIT_ORDER])
+        numeric = cov(estimate._numeric_jac(Family.TWO_COMP, series.times, fit.theta))
+        assert np.allclose(analytic, numeric, rtol=1e-3)
+        assert np.allclose(fit.cov, analytic, rtol=1e-12, atol=0.0)
 
     def test_aic_matches_definition(self):
         series = datasets.synthetic21().series
@@ -368,9 +373,14 @@ class TestProfileCi:
         assert not short.lower_reached and not short.upper_reached
         assert ci.lower < short.lower < short.t_star < short.upper < ci.upper
 
-    def test_bound_clipped_at_zero_is_flagged(self):
+    # seed 5: lmdif tries rates whose profile column would overflow
+    @pytest.mark.parametrize(
+        "sigma, seed", [(0.1, (43, 1)), (0.1, (43, 0)), (0.3, (43, 3)), (0.1, (43, 5))],
+        ids=["sigma0.1-seed1", "sigma0.1-seed0", "sigma0.3-seed3", "sigma0.1-seed5"],
+    )
+    def test_bound_clipped_at_zero_is_flagged(self, sigma, seed):
         theta = ThetaTwoComp(1.0, 2.0, 2.0, 0.5)
-        series = simgen.gen_series(theta, fisher.GaussianIid(0.1), 21, 20.0, seed=(43, 1))
+        series = simgen.gen_series(theta, fisher.GaussianIid(sigma), 21, 20.0, seed=seed)
         ci = ak.profile_ci_tstar(series)
         assert ci.lower == 0.0 and not ci.lower_reached
         assert ci.upper_reached
