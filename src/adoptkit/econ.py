@@ -21,6 +21,7 @@ from .errors import (
     NonpositiveLowerBound,
     ValidationError,
 )
+from .estimate import _ols_hc1
 
 
 @dataclass(frozen=True)
@@ -207,18 +208,13 @@ def friction_calibration(switches, interrupts, measured_phi) -> FrictionCalibrat
     X = np.column_stack([s, i])
     if np.linalg.matrix_rank(X) < 2:
         raise CollinearDesign("switch and interrupt counts are collinear")
-    xtx_inv = np.linalg.inv(X.T @ X)
-    coef = xtx_inv @ (X.T @ phi)
-    e = phi - X @ coef
-    n, k = X.shape
-    meat = X.T @ (X * (e**2)[:, None])
-    vcov = xtx_inv @ meat @ xtx_inv * (n / (n - k))
+    coef, vcov = _ols_hc1(X, phi)
     return FrictionCalibration(
         kappa_s=float(coef[0]),
         kappa_i=float(coef[1]),
         se_s=math.sqrt(max(float(vcov[0, 0]), 0.0)),
         se_i=math.sqrt(max(float(vcov[1, 1]), 0.0)),
-        n=n,
+        n=len(s),
     )
 
 

@@ -126,16 +126,13 @@ class FitReport:
 # fitting by variable projection
 # ---------------------------------------------------------------------------
 
-def _numeric_jac(family: Family, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    J = np.empty((len(t), len(theta)))
-    for j, th in enumerate(theta):
-        h = 1e-6 * max(1.0, abs(th))
-        up = theta.copy()
-        dn = theta.copy()
-        up[j] += h
-        dn[j] -= h
-        J[:, j] = (curves._eval_values(family, up, t) - curves._eval_values(family, dn, t)) / (2.0 * h)
-    return J
+def _jacobian(family: Family, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """d curve / d theta at ``t``, shape (n, k): column j is Im f(theta + i*h*e_j) / h,
+    exact to rounding because ``curves._eval_values`` is complex-analytic."""
+    h = 1e-30
+    # row i: parameter i in each of the k steps, a column against t
+    steps = theta[:, None] + 1j * h * np.eye(len(theta))
+    return curves._eval_values(family, steps[..., None], t).imag.T / h
 
 
 class _Separable:
@@ -416,9 +413,9 @@ def fit_nls(
     ``init`` gives a single start: its nonlinear parameters are used and its
     amplitudes are solved again. ``tol`` sets the post-fit stationarity
     criterion: the SSE gradient in the fitting coordinates must satisfy
-    ||grad|| < tol * (1 + SSE). The Jacobian J of the covariance
-    sigma2 * (J'J)^-1 is analytic for the two-component family, central
-    differences otherwise.
+    ||grad|| < tol * (1 + SSE). The Jacobian J of that gradient and of the
+    covariance sigma2 * (J'J)^-1 is taken by complex step (``_jacobian``),
+    exact to rounding for every family.
 
     A J'J condition number beyond 1e12 marks the report ``singular`` (pinv
     covariance, ``cov_unreliable``) rather than failing, except when the fit
@@ -450,10 +447,7 @@ def fit_nls(
     aic = 2.0 * k + n * (math.log(msr) if msr > 0 else -math.inf)
     sigma2 = sse / (n - k)
 
-    if family == Family.TWO_COMP:
-        J = curves._gradient_values(theta, t)[:, curves.FIT_ORDER]
-    else:
-        J = _numeric_jac(family, t, theta)
+    J = _jacobian(family, t, theta)
     jtj = J.T @ J
     cond = float(np.linalg.cond(jtj))
     scale = max(1.0, float(np.max(np.abs(y))))
@@ -690,8 +684,12 @@ def prepost_delta_beta(
     windows (times re-origined per window), then estimates
     Var(delta_beta) = Var(beta_post) + Var(beta_pre) - 2 Cov by jointly
     resampling blocks of the concatenated residual sequence and refitting both
-    windows per replicate. Deterministic given (inputs, seed).
+    windows per replicate. Deterministic given (inputs, seed). Raises
+    ValidationError before any fit when ``n_boot`` < 10, fewer replicates
+    than the variance needs.
     """
+    if n_boot < 10:
+        raise ValidationError(f"n_boot must be >= 10, got {n_boot}")
     w, pre_mask, post_mask, weekend_rule = _select_window(series, spec)
     pre = _window_series(series, pre_mask)
     post = _window_series(series, post_mask)
@@ -922,12 +920,7 @@ def estimate_hprime0(delta_beta, delta_v, controls=None, level: float = 0.95) ->
     X = np.column_stack(cols)
     if np.linalg.matrix_rank(X) < X.shape[1]:
         raise DegenerateDesign("design matrix is rank deficient (no usable delta_v variation)")
-    n, k = X.shape
-    xtx_inv = np.linalg.inv(X.T @ X)
-    coef = xtx_inv @ (X.T @ y)
-    e = y - X @ coef
-    meat = X.T @ (X * (e**2)[:, None])
-    vcov = xtx_inv @ meat @ xtx_inv * (n / max(n - k, 1))
+    coef, vcov = _ols_hc1(X, y)
     se_h = math.sqrt(max(float(vcov[1, 1]), 0.0))
     z = ndtri(0.5 + level / 2.0)
     h = float(coef[1])
@@ -938,5 +931,15 @@ def estimate_hprime0(delta_beta, delta_v, controls=None, level: float = 0.95) ->
         se=se_h,
         ci=(h - z * se_h, h + z * se_h),
         t_stat=t_stat,
-        n=n,
+        n=len(y),
     )
+
+
+def _ols_hc1(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """OLS coefficients of ``y`` on the full-rank ``X`` and their HC1
+    (heteroskedasticity-robust, n/(n-k)-scaled) covariance."""
+    n, k = X.shape
+    xtx_inv = np.linalg.inv(X.T @ X)
+    coef = xtx_inv @ (X.T @ y)
+    meat = X.T @ (X * ((y - X @ coef) ** 2)[:, None])
+    return coef, xtx_inv @ meat @ xtx_inv * (n / max(n - k, 1))

@@ -14,6 +14,7 @@ from adoptkit.errors import (
     InsufficientData,
     NonConvergence,
     SingularJacobian,
+    ValidationError,
     WindowInfeasible,
 )
 from adoptkit.estimate import TimeSeries, WindowSpec
@@ -63,9 +64,37 @@ class TestFitNls:
             return fit.sigma2 * np.linalg.inv(J.T @ J)
 
         analytic = cov(curves._gradient_values(fit.theta, series.times)[:, curves.FIT_ORDER])
-        numeric = cov(estimate._numeric_jac(Family.TWO_COMP, series.times, fit.theta))
+        numeric = cov(estimate._jacobian(Family.TWO_COMP, series.times, fit.theta))
         assert np.allclose(analytic, numeric, rtol=1e-3)
         assert np.allclose(fit.cov, analytic, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["synthetic21", "enterprise78raw"])
+    def test_logistic_cov_matches_closed_form_derivatives(self, name):
+        series = datasets.load_builtin(name).series
+        fit = ak.fit_nls(series, Family.LOGISTIC)
+        k, c, g = fit.theta
+        t = series.times
+        e = np.exp(-g * t)
+        d = 1.0 + c * e
+        J = np.column_stack([1.0 / d, -k * e / d**2, k * c * t * e / d**2])
+        assert np.allclose(fit.cov, fit.sigma2 * np.linalg.inv(J.T @ J), rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("family", list(Family), ids=[f.value for f in Family])
+    def test_complex_step_jacobian_matches_central_differences(self, family):
+        # guards the complex step: an operation in curves._eval_values that is
+        # not complex-analytic (abs, a cast to float) would corrupt every
+        # covariance without failing a fit
+        series = datasets.synthetic21().series
+        theta = ak.fit_nls(series, family).theta
+        J = estimate._jacobian(family, series.times, theta)
+        for j in range(len(theta)):
+            h = 1e-6 * max(1.0, abs(theta[j]))
+            up, dn = theta.copy(), theta.copy()
+            up[j] += h
+            dn[j] -= h
+            diff = (curves._eval_values(family, up, series.times)
+                    - curves._eval_values(family, dn, series.times)) / (2.0 * h)
+            assert np.max(np.abs(J[:, j] - diff)) <= 1e-6 * np.max(np.abs(J[:, j]))
 
     def test_aic_matches_definition(self):
         series = datasets.synthetic21().series
@@ -311,6 +340,16 @@ class TestPrePost:
         with pytest.raises(WindowInfeasible):
             ak.prepost_delta_beta(series, WindowSpec(intervention_time=10.5), n_boot=50)
 
+    def test_too_few_replicates_raise_before_fitting(self, monkeypatch):
+        series = prepost_series(0.05, 0.10, 0.01, seed=2)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_nls called")
+
+        monkeypatch.setattr(estimate, "fit_nls", no_fit)
+        with pytest.raises(ValidationError):
+            ak.prepost_delta_beta(series, WindowSpec(intervention_time=15.0), n_boot=9)
+
     def test_deterministic_given_seed(self):
         series = prepost_series(0.05, 0.10, 0.01, seed=2)
         spec = WindowSpec(intervention_time=15.0)
@@ -372,6 +411,22 @@ class TestProfileCi:
         short = ak.profile_ci_tstar(series, max_steps=1)
         assert not short.lower_reached and not short.upper_reached
         assert ci.lower < short.lower < short.t_star < short.upper < ci.upper
+
+    def test_failed_refits_are_skipped_and_counted(self, monkeypatch):
+        series = simgen.gen_series(self.THETA, fisher.GaussianIid(0.05), 21, 20.0, seed=(88, 0))
+        leastsq = estimate.leastsq
+
+        def capped(*args, **kwargs):
+            # only the profile's refits (budget 4000) exhaust their budget
+            if kwargs.get("maxfev") == 4000:
+                kwargs["maxfev"] = 1
+            return leastsq(*args, **kwargs)
+
+        monkeypatch.setattr(estimate, "leastsq", capped)
+        ci = ak.profile_ci_tstar(series, max_steps=3)
+        assert ci.n_skipped == 6
+        assert not ci.lower_reached and not ci.upper_reached
+        assert ci.lower == ci.upper == ci.t_star
 
     # seed 5: lmdif tries rates whose profile column would overflow
     @pytest.mark.parametrize(

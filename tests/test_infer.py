@@ -279,6 +279,22 @@ class TestShapeTest:
             assert res.p_value == (1.0 + count) / 301.0
 
 
+class TestIsotonicFit:
+    def test_pools_adjacent_violators(self):
+        assert infer.isotonic_fit([3.0, 1.0, 2.0]).tolist() == [2.0, 2.0, 2.0]
+
+    def test_matches_scipy(self):
+        from scipy import optimize
+
+        if not hasattr(optimize, "isotonic_regression"):
+            pytest.skip("scipy.optimize.isotonic_regression needs scipy >= 1.12")
+        for r in range(50):
+            rng = np.random.default_rng((93, r))
+            y = np.cumsum(rng.normal(0.1, 1.0, rng.integers(1, 60)))
+            want = optimize.isotonic_regression(y).x
+            assert np.allclose(infer.isotonic_fit(y), want, rtol=0.0, atol=1e-12 * np.max(np.abs(y)))
+
+
 class TestGaussianLoglik:
     def test_matches_normal_logpdf(self):
         fit = ak.fit_nls(datasets.synthetic21().series)
