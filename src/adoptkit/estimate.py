@@ -503,6 +503,96 @@ def _lmdif(residual, z0: np.ndarray, max_nfev: int) -> OptimizeResult:
         x=x + shift, cost=0.5 * float(f @ f), nfev=int(info["nfev"]), status=int(ier != 5)
     )
 
+
+#: trial steps per row of ``_polish_many``; a row still active after them is
+#: left uncertified, for its caller to refit by ``fit_nls``
+_BATCH_MAX_ITER = 50
+
+
+def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray):
+    """Levenberg-Marquardt polish of the coordinates of every row of ``Y``
+    (shape (B, n), one series per row on the times ``t``) from the shared
+    start ``w0``, for a family of two coordinates and one or two amplitudes.
+
+    Each row's Jacobian of the projected residual is taken by forward
+    differences with lmdif's step (``_lmdif``) and its damped 2x2 system,
+    J'J + lambda * diag(J'J), is solved in closed form; the damping lambda
+    is the row's own. Every operation is elementwise or a sum along a row,
+    so a row's numbers do not depend on the other rows of the batch, and
+    nothing raises. A step is accepted when it does not raise the row's
+    SSE. A row is certified by an accepted step that lowers its SSE by at
+    most relative SOLVE_FTOL and moves each coordinate by less than
+    1e-10 * (1 + |w|). A row is left uncertified when it is still active
+    after ``_BATCH_MAX_ITER`` trial steps, when its SSE is not finite, when
+    it is fitted exactly (where ``fit_nls`` may raise SingularJacobian), and
+    when ``w0`` or an accepted step lies outside the start grid's box: there
+    the data do not identify the rates, and the polish runs along a flat
+    edge where ``1 - exp(-beta*t)`` loses its digits as beta -> 0.
+    Returns (W, certified), shapes (B, 2) and (B,).
+    """
+    h = 1.4901161193847656e-06  # lmdif's difference step at x = 100
+
+    def residuals(W, Yr):
+        A = sep.design(W, t)
+        G = [[(a * c).sum(axis=-1) for c in A] for a in A]
+        c = _amplitudes(G, [(a * Yr).sum(axis=-1) for a in A], sep.nonneg, np.where)[0]
+        R = -Yr
+        for ci, a in zip(c, A):
+            R = R + ci[:, None] * a
+        return R, (R * R).sum(axis=-1)
+
+    def inside(W):
+        return ((W >= lo) & (W <= hi)).all(axis=-1)
+
+    lo, hi = np.array([_ranges(t)[name] for name in sep.box]).T
+    B, n = Y.shape
+    W = np.tile(np.asarray(w0, dtype=float), (B, 1))
+    lam = np.full(B, 1e-3)
+    gram = np.zeros((5, B))  # J0'J0, J0'J1, J1'J1, J0'r, J1'r at W
+    stale = np.ones(B, dtype=bool)  # W moved since its gram was taken
+    certified = np.zeros(B, dtype=bool)
+    with np.errstate(all="ignore"):
+        R, S = residuals(W, Y)
+        active = np.isfinite(S) & inside(W)
+        for _ in range(_BATCH_MAX_ITER):
+            rows = np.flatnonzero(active)
+            if not rows.size:
+                break
+            fresh = rows[stale[rows]]
+            if fresh.size:
+                Wf, Rf, Yf = W[fresh], R[fresh], Y[fresh]
+                J0 = (residuals(Wf + [h, 0.0], Yf)[0] - Rf) / h
+                J1 = (residuals(Wf + [0.0, h], Yf)[0] - Rf) / h
+                gram[:, fresh] = [(J0 * J0).sum(axis=-1), (J0 * J1).sum(axis=-1),
+                                  (J1 * J1).sum(axis=-1), (J0 * Rf).sum(axis=-1),
+                                  (J1 * Rf).sum(axis=-1)]
+                stale[fresh] = False
+            g00, g01, g11, b0, b1 = gram[:, rows]
+            lr, Wr, Sr = lam[rows], W[rows], S[rows]
+            # the floor keeps a zero column (an amplitude at 0) solvable
+            floor = 1e-12 * (g00 + g11)
+            m00 = g00 + lr * (g00 + floor)
+            m11 = g11 + lr * (g11 + floor)
+            det = m00 * m11 - g01 * g01
+            step = np.stack([(g01 * b1 - m11 * b0) / det, (g01 * b0 - m00 * b1) / det], axis=-1)
+            Wt = Wr + step
+            Rt, St = residuals(Wt, Y[rows])
+            ok, within = St <= Sr, inside(Wt)
+            left = rows[ok & ~within]
+            ok &= within
+            small = (np.abs(step) < 1e-10 * (1.0 + np.abs(Wr))).all(axis=-1)
+            done = ok & (Sr - St <= SOLVE_FTOL * Sr) & small
+            moved = rows[ok]
+            W[moved], R[moved], S[moved] = Wt[ok], Rt[ok], St[ok]
+            stale[moved] = True
+            lam[rows] = np.where(ok, np.maximum(0.1 * lr, 1e-3), 10.0 * lr)
+            certified[rows[done]] = True
+            active[rows[done]] = False
+            active[left] = False
+        scale = np.maximum(1.0, np.abs(Y).max(axis=-1))
+        certified &= S / n >= (1e-8 * scale) ** 2
+    return W, certified
+
 # ---------------------------------------------------------------------------
 # boundary-moment identification
 # ---------------------------------------------------------------------------
@@ -636,6 +726,8 @@ class PrePostReport:
     cov_pre_post: float
     n_boot: int
     n_boot_failed: int
+    #: failed replicates by exception class name; the counts sum to n_boot_failed
+    failures: dict[str, int]
 
 
 def _count_weekends(dow: np.ndarray) -> int:
@@ -670,6 +762,23 @@ def _window_series(series: TimeSeries, mask: np.ndarray) -> TimeSeries:
     return TimeSeries(t - t[0], series.values[mask], unit=series.unit)
 
 
+def _refit_betas(t: np.ndarray, Y: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """beta of the two-component fit to each row of ``Y`` on the times
+    ``t``, warm-started at ``theta``: the rows that ``_polish_many``
+    certifies from it, the others refit by ``fit_nls(init=theta)``. Returns
+    (beta, {row: exception class name} of the refits that failed)."""
+    sep = _SEPARABLE[Family.TWO_COMP]
+    W, certified = _polish_many(sep, t, Y, sep.coords(theta))
+    beta = sep.params(W)[:, 1]
+    errors = {}
+    for i in np.flatnonzero(~certified):
+        try:
+            beta[i] = fit_nls(TimeSeries(t, Y[i]), Family.TWO_COMP, init=theta).theta[3]
+        except RECOVERABLE as exc:
+            errors[int(i)] = type(exc).__name__
+    return beta, errors
+
+
 def prepost_delta_beta(
     series: TimeSeries,
     spec: WindowSpec,
@@ -684,9 +793,13 @@ def prepost_delta_beta(
     windows (times re-origined per window), then estimates
     Var(delta_beta) = Var(beta_post) + Var(beta_pre) - 2 Cov by jointly
     resampling blocks of the concatenated residual sequence and refitting both
-    windows per replicate. Deterministic given (inputs, seed). Raises
-    ValidationError before any fit when ``n_boot`` < 10, fewer replicates
-    than the variance needs.
+    windows per replicate. Each window's replicates are refit as one batch,
+    warm-started at the window's fit (``_polish_many``); a replicate the
+    batch does not certify is refit singly by ``fit_nls(init=...)``. A
+    replicate fails when a refit of either window raises; ``failures``
+    counts them by exception class. Deterministic given (inputs, seed), and
+    independent of the batch size. Raises ValidationError before any fit
+    when ``n_boot`` < 10, fewer replicates than the variance needs.
     """
     if n_boot < 10:
         raise ValidationError(f"n_boot must be >= 10, got {n_boot}")
@@ -713,24 +826,22 @@ def prepost_delta_beta(
     n_blocks = int(math.ceil(m / block_len))
     starts_max = m - block_len + 1
 
-    rng = np.random.default_rng(seed)
-    pairs = []
-    failed = 0
-    for _ in range(n_boot):
-        starts = rng.integers(0, starts_max, size=n_blocks)
-        estar = np.concatenate([resid[s : s + block_len] for s in starts])[:m]
-        ypre = fitted_pre + estar[: len(pre)]
-        ypost = fitted_post + estar[len(pre) :]
-        try:
-            bp = fit_nls(TimeSeries(pre.times, ypre), Family.TWO_COMP, init=fit_pre.theta)
-            ba = fit_nls(TimeSeries(post.times, ypost), Family.TWO_COMP, init=fit_post.theta)
-        except RECOVERABLE:
-            failed += 1
-            continue
-        pairs.append((bp.theta[3], ba.theta[3]))
-    if len(pairs) < 10:
+    # one draw of all block starts gives the numbers of a draw per replicate
+    starts = np.random.default_rng(seed).integers(0, starts_max, size=(n_boot, n_blocks))
+    estar = resid[(starts[:, :, None] + np.arange(block_len)).reshape(n_boot, -1)[:, :m]]
+    # a replicate fails with its first window that fails; the post window
+    # is refit only for the replicates whose pre window was
+    beta_boot_pre, errors = _refit_betas(pre.times, fitted_pre + estar[:, : len(pre)], fit_pre.theta)
+    rows = np.array([i for i in range(n_boot) if i not in errors], dtype=int)
+    beta_boot_post, post_errors = _refit_betas(
+        post.times, fitted_post + estar[rows, len(pre) :], fit_post.theta
+    )
+    kept = [j for j in range(len(rows)) if j not in post_errors]
+    names = sorted([*errors.values(), *post_errors.values()])
+    failed = len(names)
+    if n_boot - failed < 10:
         raise NonConvergence(f"block bootstrap failed in {failed}/{n_boot} replicates")
-    arr = np.asarray(pairs)
+    arr = np.column_stack([beta_boot_pre[rows[kept]], beta_boot_post[kept]])
     var_pre = float(np.var(arr[:, 0], ddof=1))
     var_post = float(np.var(arr[:, 1], ddof=1))
     cov = float(np.cov(arr[:, 0], arr[:, 1], ddof=1)[0, 1])
@@ -749,6 +860,7 @@ def prepost_delta_beta(
         cov_pre_post=cov,
         n_boot=n_boot,
         n_boot_failed=failed,
+        failures={name: names.count(name) for name in names},
     )
 
 

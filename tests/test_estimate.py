@@ -1,14 +1,19 @@
 """Fitting, identification, and uncertainty machinery."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adoptkit as ak
 from adoptkit import curves, datasets, estimate, fisher, simgen
 from adoptkit.curves import Family, ThetaTwoComp
 from adoptkit.errors import (
+    RECOVERABLE,
     DegenerateDesign,
     DegenerateIdentification,
     InsufficientData,
@@ -376,6 +381,140 @@ class TestPrePost:
         )
         assert rep.weekend_rule_applied
         assert rep.window_used == 10
+
+    def test_every_row_through_the_fallback_matches_the_per_replicate_loop(self, monkeypatch):
+        monkeypatch.setattr(estimate, "_BATCH_MAX_ITER", 0)
+        for series, n_boot, seed in [
+            (prepost_series(0.05, 0.10, 0.01, seed=1), 40, 5),
+            (prepost_series(0.07, 0.07, 0.01, seed=100), 30, 0),
+        ]:
+            spec = WindowSpec(intervention_time=15.0)
+            rep = ak.prepost_delta_beta(series, spec, n_boot=n_boot, seed=seed)
+            oracle = prepost_per_replicate(series, spec, n_boot, seed)
+            assert repr(rep) == repr(oracle)
+
+    def test_failed_fallback_refits_are_counted_by_class(self, monkeypatch):
+        monkeypatch.setattr(estimate, "_BATCH_MAX_ITER", 0)
+        fit_nls = estimate.fit_nls
+        calls, raised = itertools.count(1), []
+
+        def failing(series, family=Family.TWO_COMP, init=None, **kwargs):
+            # the window fits pass no init; every bootstrap refit does
+            if init is not None:
+                kind = {1: NonConvergence, 3: SingularJacobian, 5: np.linalg.LinAlgError}.get(next(calls) % 6)
+                if kind is not None:
+                    raised.append(kind.__name__)
+                    raise kind("injected")
+            return fit_nls(series, family, init=init, **kwargs)
+
+        monkeypatch.setattr(estimate, "fit_nls", failing)
+        series = prepost_series(0.05, 0.10, 0.01, seed=1)
+        rep = ak.prepost_delta_beta(series, WindowSpec(intervention_time=15.0), n_boot=40, seed=5)
+        assert raised
+        assert rep.n_boot_failed == len(raised) == sum(rep.failures.values())
+        assert rep.failures == {name: raised.count(name) for name in sorted(set(raised))}
+        assert math.isfinite(rep.se)
+
+    def test_batch_matches_per_row_fits(self, monkeypatch):
+        # 2 series x 2 windows x 100 bootstrap rows
+        batches = []
+        refit = estimate._refit_betas
+
+        def record(t, Y, theta):
+            batches.append((t, Y, theta))
+            return refit(t, Y, theta)
+
+        monkeypatch.setattr(estimate, "_refit_betas", record)
+        spec = WindowSpec(intervention_time=15.0)
+        for series in (prepost_series(0.05, 0.10, 0.01, seed=1), prepost_series(0.07, 0.07, 0.01, seed=2)):
+            ak.prepost_delta_beta(series, spec, n_boot=100, seed=3)
+        assert [len(Y) for _, Y, _ in batches] == [100] * 4
+        sep = estimate._SEPARABLE[Family.TWO_COMP]
+        certified = 0
+        for t, Y, theta in batches:
+            W, ok = estimate._polish_many(sep, t, Y, sep.coords(theta))
+            errors = refit(t, Y, theta)[1]
+            for i, y in enumerate(Y):
+                try:
+                    ref = estimate.fit_nls(TimeSeries(t, y), Family.TWO_COMP, init=theta).sse
+                except RECOVERABLE:
+                    continue
+                assert i not in errors
+                if ok[i]:
+                    certified += 1
+                    A, c = sep.solve(W[i], t, y)
+                    assert np.sum((c @ A - y) ** 2) <= ref * (1.0 + 1e-5)
+        assert certified >= 360
+
+
+def prepost_per_replicate(series, spec, n_boot, seed, level=0.95):
+    """``prepost_delta_beta`` as two warm ``fit_nls`` refits per replicate, one
+    replicate at a time, drawing each replicate's block starts in turn."""
+    w, pre_mask, post_mask, weekend_rule = estimate._select_window(series, spec)
+    windows = [estimate._window_series(series, mask) for mask in (pre_mask, post_mask)]
+    fits = [estimate.fit_nls(win, Family.TWO_COMP) for win in windows]
+    scaled = [f.residuals * math.sqrt(len(win) / max(len(win) - 4, 1)) for f, win in zip(fits, windows)]
+    resid = np.concatenate(scaled)
+    m, npre = len(resid), len(windows[0])
+    block_len = int(math.ceil(m ** (1.0 / 3.0)))
+    n_blocks = int(math.ceil(m / block_len))
+    rng = np.random.default_rng(seed)
+    pairs, names = [], []
+    for _ in range(n_boot):
+        starts = rng.integers(0, m - block_len + 1, size=n_blocks)
+        estar = np.concatenate([resid[s : s + block_len] for s in starts])[:m]
+        try:
+            betas = [
+                estimate.fit_nls(TimeSeries(win.times, win.values - f.residuals + e),
+                                 Family.TWO_COMP, init=f.theta).theta[3]
+                for win, f, e in zip(windows, fits, (estar[:npre], estar[npre:]))
+            ]
+        except RECOVERABLE as exc:
+            names.append(type(exc).__name__)
+            continue
+        pairs.append(betas)
+    arr = np.asarray(pairs)
+    var_pre = float(np.var(arr[:, 0], ddof=1))
+    var_post = float(np.var(arr[:, 1], ddof=1))
+    cov = float(np.cov(arr[:, 0], arr[:, 1], ddof=1)[0, 1])
+    se = math.sqrt(max(var_post + var_pre - 2.0 * cov, 0.0))
+    z = scipy.special.ndtri(0.5 + level / 2.0)
+    beta_pre, beta_post = (float(f.theta[3]) for f in fits)
+    delta = beta_post - beta_pre
+    return estimate.PrePostReport(
+        beta_pre=beta_pre, beta_post=beta_post, delta_beta=delta, se=se,
+        ci=(delta - z * se, delta + z * se), window_used=w,
+        weekend_rule_applied=weekend_rule, cov_pre_post=cov, n_boot=n_boot,
+        n_boot_failed=len(names), failures={name: names.count(name) for name in sorted(names)},
+    )
+
+
+class TestPolishMany:
+    SEP = estimate._SEPARABLE[Family.TWO_COMP]
+
+    @staticmethod
+    def rows(count, seed, sigma):
+        t = np.arange(10.0)
+        theta = np.array([1.0, 0.5, 2.0, 0.07])
+        y = ak.eval_curve(ThetaTwoComp(*theta), t)
+        return t, y + sigma * np.random.default_rng(seed).standard_normal((count, len(t))), theta
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(count=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           sigma=st.sampled_from([0.0, 0.001, 0.01, 0.1]))
+    def test_a_row_does_not_depend_on_its_batch(self, count, seed, sigma):
+        t, Y, theta = self.rows(count, seed, sigma)
+        w0 = self.SEP.coords(theta)
+        W, ok = estimate._polish_many(self.SEP, t, Y, w0)
+        for i in range(count):
+            Wi, oki = estimate._polish_many(self.SEP, t, Y[i : i + 1], w0)
+            assert Wi.tobytes() == W[i : i + 1].tobytes() and oki[0] == ok[i]
+        Wr, okr = estimate._polish_many(self.SEP, t, Y[::-1], w0)
+        assert Wr[::-1].tobytes() == W.tobytes() and (okr[::-1] == ok).all()
+
+    def test_exact_fit_is_not_certified(self):
+        t, Y, theta = self.rows(3, 0, 0.0)
+        assert not estimate._polish_many(self.SEP, t, Y, self.SEP.coords(theta) + 0.1)[1].any()
 
 
 class TestProfileCi:
