@@ -272,7 +272,7 @@ def _write_benchmark_csv(report, path: str) -> None:
     import csv as _csv
 
     cols = [
-        "depth", "n_points", "error_model", "replicates", "n_failed", "degraded",
+        "depth", "n_points", "error_model", "sigma", "rho", "replicates", "n_failed", "degraded",
         "well_conditioned", "near_degenerate", "coverage_tstar", "type1_lr",
         "type1_shape", "power_lr", "power_shape", "mean_crlb_ratio",
     ]
@@ -283,9 +283,13 @@ def _write_benchmark_csv(report, path: str) -> None:
             row = []
             for col in cols:
                 if col == "error_model":
-                    row.append(type(s.error_model).__name__)
-                    continue
-                val = getattr(s, col)
+                    val = type(s.error_model).__name__
+                elif col in ("sigma", "rho"):
+                    # iid Gaussian noise is the grid's rho = 0; count models have neither
+                    iid = isinstance(s.error_model, fisher.GaussianIid)
+                    val = getattr(s.error_model, col, 0.0 if iid else "")
+                else:
+                    val = getattr(s, col)
                 if isinstance(val, float):
                     val = f"{val:.10g}"
                 row.append(val)

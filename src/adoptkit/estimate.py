@@ -272,13 +272,19 @@ def _amplitudes(G, b, nonneg, where=lambda cond, x, y: x if cond else y):
 
 def _grid(sep: _Separable, t: np.ndarray, y: np.ndarray, w: np.ndarray, pair: int):
     """Coordinates and SSE - y'y on a GRID_POINTS^2 grid over the box of
-    coordinates ``pair`` and ``pair + 1``, the others fixed at ``w``."""
+    coordinates ``pair`` and ``pair + 1``, the others fixed at ``w``; for
+    rows ``y`` of shape (B, n), one column of SSE - y'y per row, each equal
+    to that of the row alone (the design and Gram entries are shared)."""
     ranges = _ranges(t)
     axes = [np.linspace(*ranges[name], GRID_POINTS) for name in sep.box[pair : pair + 2]]
     W = np.tile(w, (GRID_POINTS**2, 1))
     W[:, pair : pair + 2] = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
     A = sep.design(W, t)
-    G, b, nonneg, offset = np.einsum("ign,jgn->ijg", A, A), A @ y, sep.nonneg, 0.0
+    G, nonneg, offset = np.einsum("ign,jgn->ijg", A, A), sep.nonneg, 0.0
+    if y.ndim == 1:
+        b = A @ y
+    else:
+        b, G = np.stack([A @ row for row in y], axis=-1), G[..., None]
     if len(b) == 3:
         # double exponential: its start does not hold k >= 0, so the constant
         # column is partialled out (the Schur complement of its Gram entry)
@@ -287,6 +293,14 @@ def _grid(sep: _Separable, t: np.ndarray, y: np.ndarray, w: np.ndarray, pair: in
         G = G[1:, 1:] - G[1:, :1] * G[:1, 1:] / G[0, 0]
         nonneg = nonneg[1:]
     return W, _amplitudes(G, b, nonneg, np.where)[1] + offset
+
+
+def _grid_best(W: np.ndarray, val: np.ndarray, split: bool) -> list[np.ndarray]:
+    """The best point of a ``_grid`` result, or with ``split`` the best on
+    each side of w0 = w1 (the two-component curve's alpha = beta); one per
+    column of ``val`` when it has one per row."""
+    sides = [W[:, 0] > W[:, 1], W[:, 0] < W[:, 1]] if split else [slice(None)]
+    return [W[side][np.argmin(val[side], axis=0)] for side in sides]
 
 
 def _grid_minima(W: np.ndarray, val: np.ndarray, count: int) -> np.ndarray:
@@ -325,9 +339,7 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev:
                              xtol=1e-12, ftol=SOLVE_FTOL, gtol=1e-12, max_nfev=max_nfev)
 
     def grid_best(w, pair, split=False):
-        W, val = _grid(sep, t, y, w, pair)
-        sides = [W[:, 0] > W[:, 1], W[:, 0] < W[:, 1]] if split else [slice(None)]
-        return [W[side][np.argmin(val[side])] for side in sides]
+        return _grid_best(*_grid(sep, t, y, w, pair), split)
 
     def polishes():
         if starts is not None:
@@ -358,10 +370,38 @@ def _monotone_sse(t: np.ndarray, y: np.ndarray, theta: ThetaTwoComp) -> float:
     limits are flat in w: a polish heading for one crawls, a start on one
     gives its value exactly. Raises NonConvergence when no polish ends
     within 5000 evaluations."""
+    starts = _cone_starts(theta, *_grid(_MONOTONE_CONE, t, y, np.zeros(2), 0))
+    return 2.0 * _fit_coords(_MONOTONE_CONE, t, y, starts, 5000).cost
+
+
+def _cone_starts(theta: ThetaTwoComp, W: np.ndarray, val: np.ndarray) -> list[np.ndarray]:
+    """``_monotone_sse``'s starts from the free fit and the cone's grid."""
     gap = theta.alpha - theta.beta
     free = np.array([math.log(theta.beta), math.log(gap) if gap > 0 else -40.0])
-    starts = [free, *_grid_minima(*_grid(_MONOTONE_CONE, t, y, np.zeros(2), 0), 2)]
-    return 2.0 * _fit_coords(_MONOTONE_CONE, t, y, starts, 5000).cost
+    return [free, *_grid_minima(W, val, 2)]
+
+
+def _monotone_sse_many(t: np.ndarray, Y: np.ndarray, thetas: list[ThetaTwoComp]):
+    """``_monotone_sse`` of each row of ``Y`` (shape (B, n)) and its free
+    fit ``thetas[i]``, as one batch. All rows' starts are polished by one
+    ``_polish_many`` over the cone, not floored: its columns stay exact at
+    the clip limits. A row with every start certified gets the least
+    SSE; the others go to ``_monotone_sse``. Returns (SSE, {row: exception
+    class name} of the rows that raised)."""
+    B = len(Y)
+    W, val = _grid(_MONOTONE_CONE, t, Y, np.zeros(2), 0)
+    starts = [_cone_starts(theta, W, val[:, i]) for i, theta in enumerate(thetas)]
+    # a grid with a single local minimum repeats it, which changes no minimum
+    starts = np.array([s + s[-1:] * (3 - len(s)) for s in starts]).reshape(3 * B, 2)
+    _, S, _, certified = _polish_many(_MONOTONE_CONE, t, np.repeat(Y, 3, axis=0), starts, floored=False)
+    sse, certified = S.reshape(B, 3).min(axis=1), certified.reshape(B, 3).all(axis=1)
+    errors = {}
+    for i in np.flatnonzero(~certified):
+        try:
+            sse[i] = _monotone_sse(t, Y[i], thetas[i])
+        except RECOVERABLE as exc:
+            errors[int(i)] = type(exc).__name__
+    return sse, errors
 
 
 def _double_exp_edge(sep: _Separable, t: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -439,7 +479,15 @@ def fit_nls(
         theta, degenerate = _double_exp_edge(sep, t, y, res.x)
     else:
         theta, degenerate = sep.theta(res.x, sep.solve(res.x, t, y)[1]), False
-    theta, nfev = _canonical(family, theta), res.nfev
+    return _fit_report(family, t, y, _canonical(family, theta), res.nfev, degenerate, tol)
+
+
+def _fit_report(family: Family, t: np.ndarray, y: np.ndarray, theta: np.ndarray, nfev: int,
+                degenerate: bool = False, tol: float = 1e-6) -> FitReport:
+    """``fit_nls``'s report of the fit ``theta`` of ``y`` on the times ``t``:
+    residuals, AIC, covariance, the flags and the stationarity check, or
+    SingularJacobian for a singular exact fit."""
+    k, n = len(theta), len(t)
     fitted = curves._eval_values(family, theta, t)
     e = y - fitted
     sse = float(np.dot(e, e))
@@ -505,93 +553,218 @@ def _lmdif(residual, z0: np.ndarray, max_nfev: int) -> OptimizeResult:
 
 
 #: trial steps per row of ``_polish_many``; a row still active after them is
-#: left uncertified, for its caller to refit by ``fit_nls``
+#: left uncertified, for its caller to refit singly
 _BATCH_MAX_ITER = 50
 
 
-def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray):
-    """Levenberg-Marquardt polish of the coordinates of every row of ``Y``
-    (shape (B, n), one series per row on the times ``t``) from the shared
-    start ``w0``, for a family of two coordinates and one or two amplitudes.
+def _lmpar(g00, g01, g11, b0, b1, d0, d1, delta, par):
+    """MINPACK's lmpar for two coordinates, elementwise over rows.
 
+    From J'J = [[g00, g01], [g01, g11]], J'f = (b0, b1), the scaling
+    diagonal (d0, d1), the trust radius ``delta`` and the previous ``par``:
+    the Levenberg-Marquardt parameter par >= 0 and the step
+    p = -(J'J + par*D^2)^-1 J'f with ||D p|| within 10% of delta, or par = 0
+    and the Gauss-Newton step when that is no longer than 1.1*delta. The 2x2
+    systems are solved in closed form; a singular J'J takes its Gauss-Newton
+    step along its longer column alone, as MINPACK's pivoted QR does.
+    Returns (par, p0, p1).
+    """
+
+    def solve(m00, m11):
+        det = m00 * m11 - g01 * g01
+        return (g01 * b1 - m11 * b0) / det, (g01 * b0 - m00 * b1) / det, det
+
+    def q_norm2(p0, p1, dxnorm, m00, m11, det):
+        # ||R^-T D^2 p|| squared, D^2 p normalised by ||D p||
+        q0, q1 = d0 * d0 * p0 / dxnorm, d1 * d1 * p1 / dxnorm
+        return (m11 * q0 * q0 - 2.0 * g01 * q0 * q1 + m00 * q1 * q1) / det
+
+    p0, p1, det = solve(g00, g11)
+    full = det > 0.0
+    if not full.all():
+        first = g00 >= g11
+        p0 = np.where(full, p0, np.where(first & (g00 > 0.0), -b0 / g00, 0.0))
+        p1 = np.where(full, p1, np.where(~first & (g11 > 0.0), -b1 / g11, 0.0))
+    dxnorm = np.hypot(d0 * p0, d1 * p1)
+    fp = dxnorm - delta
+    live = fp > 0.1 * delta
+    if not live.any():
+        return np.zeros_like(par), p0, p1
+    parl = np.where(full, fp / delta / q_norm2(p0, p1, dxnorm, g00, g11, det), 0.0)
+    gnorm = np.hypot(b0 / d0, b1 / d1)
+    paru = gnorm / delta
+    paru = np.where(paru == 0.0, np.finfo(float).tiny / np.minimum(delta, 0.1), paru)
+    par = np.minimum(np.maximum(par, parl), paru)
+    par = np.where(live, np.where(par == 0.0, gnorm / dxnorm, par), 0.0)
+    for it in range(10):
+        par = np.where(live & (par == 0.0), np.maximum(np.finfo(float).tiny, 0.001 * paru), par)
+        m00, m11 = g00 + par * d0 * d0, g11 + par * d1 * d1
+        q0, q1, det = solve(m00, m11)
+        p0, p1 = np.where(live, q0, p0), np.where(live, q1, p1)
+        dxnorm = np.hypot(d0 * p0, d1 * p1)
+        last, fp = fp, np.where(live, dxnorm - delta, fp)
+        live &= ~((np.abs(fp) <= 0.1 * delta) | ((parl == 0.0) & (fp <= last) & (last < 0.0)))
+        if it == 9 or not live.any():
+            break
+        parc = fp / delta / q_norm2(p0, p1, dxnorm, m00, m11, det)
+        parl = np.where(live & (fp > 0.0), np.maximum(parl, par), parl)
+        paru = np.where(live & (fp < 0.0), np.minimum(paru, par), paru)
+        par = np.where(live, np.maximum(parl, par + parc), par)
+    return par, p0, p1
+
+
+def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, floored: bool = True):
+    """Levenberg-Marquardt polish of the coordinates of every row of ``Y``
+    (shape (B, n), one series per row on the times ``t``) from ``w0``, one
+    start per row (shape (B, 2)) or one for all (shape (2,)), for a family of
+    two coordinates and one or two amplitudes: the package's one batched LM.
+
+    It follows MINPACK's lmdif (Moré 1978, *LNM* 630:105) with ``_lmdif``'s
+    tolerances: column-norm scaling, a trust radius with ``_lmpar``'s
+    parameter, the 0.25/0.75 ratio rules, and the ftol (SOLVE_FTOL), xtol
+    (1e-12, on ``_lmdif``'s shifted coordinates) and gtol (1e-12) tests.
     Each row's Jacobian of the projected residual is taken by forward
-    differences with lmdif's step (``_lmdif``) and its damped 2x2 system,
-    J'J + lambda * diag(J'J), is solved in closed form; the damping lambda
-    is the row's own. Every operation is elementwise or a sum along a row,
-    so a row's numbers do not depend on the other rows of the batch, and
-    nothing raises. A step is accepted when it does not raise the row's
-    SSE. A row is certified by an accepted step that lowers its SSE by at
-    most relative SOLVE_FTOL and moves each coordinate by less than
-    1e-10 * (1 + |w|). A row is left uncertified when it is still active
-    after ``_BATCH_MAX_ITER`` trial steps, when its SSE is not finite, when
-    it is fitted exactly (where ``fit_nls`` may raise SingularJacobian), and
-    when ``w0`` or an accepted step lies outside the start grid's box: there
-    the data do not identify the rates, and the polish runs along a flat
-    edge where ``1 - exp(-beta*t)`` loses its digits as beta -> 0.
-    Returns (W, certified), shapes (B, 2) and (B,).
+    differences with lmdif's step, and each trial point and its two
+    difference neighbours are evaluated in one call, so an accepted step has
+    its Jacobian ready. Every operation is elementwise or a sum along a row:
+    a row's numbers do not depend on the other rows of the batch, and
+    nothing raises.
+
+    A row is certified when it meets one of the three tests. It is left
+    uncertified when it is still active after ``_BATCH_MAX_ITER`` trial
+    steps, when its SSE or step is not finite, when it is fitted exactly
+    (where ``fit_nls`` may raise SingularJacobian), and, when ``floored``,
+    when its start or an accepted step has a coordinate below the start
+    grid's box: there the two-component column ``1 - exp(-beta*t)`` loses
+    its digits as beta -> 0 and the data do not identify the rate (the
+    cone's ``expm1`` columns stay exact, so it is not floored). Returns (W,
+    SSE, evaluations, certified), shapes (B, 2), (B,), (B,) and (B,).
     """
     h = 1.4901161193847656e-06  # lmdif's difference step at x = 100
+    neighbours = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])[:, None, :]
 
-    def residuals(W, Yr):
-        A = sep.design(W, t)
+    def evaluate(W, Yr):
+        """SSE and J0'J0, J0'J1, J1'J1, J0'r, J1'r at each row of W."""
+        m = len(W)
+        Y3 = np.concatenate([Yr, Yr, Yr])
+        A = sep.design((W + neighbours).reshape(3 * m, 2), t)
         G = [[(a * c).sum(axis=-1) for c in A] for a in A]
-        c = _amplitudes(G, [(a * Yr).sum(axis=-1) for a in A], sep.nonneg, np.where)[0]
-        R = -Yr
+        c = _amplitudes(G, [(a * Y3).sum(axis=-1) for a in A], sep.nonneg, np.where)[0]
+        R = -Y3
         for ci, a in zip(c, A):
             R = R + ci[:, None] * a
-        return R, (R * R).sum(axis=-1)
+        r, J0, J1 = R[:m], (R[m : 2 * m] - R[:m]) / h, (R[2 * m :] - R[:m]) / h
+        return (r * r).sum(axis=-1), [(J0 * J0).sum(axis=-1), (J0 * J1).sum(axis=-1),
+                                      (J1 * J1).sum(axis=-1), (J0 * r).sum(axis=-1),
+                                      (J1 * r).sum(axis=-1)]
 
     def inside(W):
-        return ((W >= lo) & (W <= hi)).all(axis=-1)
+        return (W >= lo).all(axis=-1) if floored else np.ones(len(W), dtype=bool)
 
-    lo, hi = np.array([_ranges(t)[name] for name in sep.box]).T
+    lo = np.array([_ranges(t)[name][0] for name in sep.box])
     B, n = Y.shape
-    W = np.tile(np.asarray(w0, dtype=float), (B, 1))
-    lam = np.full(B, 1e-3)
-    gram = np.zeros((5, B))  # J0'J0, J0'J1, J1'J1, J0'r, J1'r at W
-    stale = np.ones(B, dtype=bool)  # W moved since its gram was taken
-    certified = np.zeros(B, dtype=bool)
+    W0 = np.array(np.broadcast_to(np.asarray(w0, dtype=float), (B, 2)))
     with np.errstate(all="ignore"):
-        R, S = residuals(W, Y)
-        active = np.isfinite(S) & inside(W)
+        S, gram = evaluate(W0, Y)
+        W_out, S_out, nfev_out = W0.copy(), S.copy(), np.full(B, 3)
+        certified = np.zeros(B, dtype=bool)
+        d0, d1 = (np.where(g > 0.0, np.sqrt(g), 1.0) for g in (gram[0], gram[2]))
+        # lmdif iterates x = w - w0 + 100 (``_lmdif``): its radius and xtol scale with ||D x||
+        xnorm = np.hypot(d0 * 100.0, d1 * 100.0)
+        # ``first``: no step accepted yet (lmdif's iter == 1), the radius follows the step
+        delta, par, first = 100.0 * xnorm, np.zeros(B), np.ones(B, dtype=bool)
+        state = [np.arange(B), Y, W0, W0, S, *gram, d0, d1, xnorm, delta, par, first, nfev_out]
+        keep = np.isfinite(S) & inside(W0)
         for _ in range(_BATCH_MAX_ITER):
-            rows = np.flatnonzero(active)
-            if not rows.size:
+            state = [a[keep] for a in state]
+            rows, Yr, W, W0, S, g00, g01, g11, b0, b1, d0, d1, xnorm, delta, par, first, nfev = state
+            if not len(rows):
                 break
-            fresh = rows[stale[rows]]
-            if fresh.size:
-                Wf, Rf, Yf = W[fresh], R[fresh], Y[fresh]
-                J0 = (residuals(Wf + [h, 0.0], Yf)[0] - Rf) / h
-                J1 = (residuals(Wf + [0.0, h], Yf)[0] - Rf) / h
-                gram[:, fresh] = [(J0 * J0).sum(axis=-1), (J0 * J1).sum(axis=-1),
-                                  (J1 * J1).sum(axis=-1), (J0 * Rf).sum(axis=-1),
-                                  (J1 * Rf).sum(axis=-1)]
-                stale[fresh] = False
-            g00, g01, g11, b0, b1 = gram[:, rows]
-            lr, Wr, Sr = lam[rows], W[rows], S[rows]
-            # the floor keeps a zero column (an amplitude at 0) solvable
-            floor = 1e-12 * (g00 + g11)
-            m00 = g00 + lr * (g00 + floor)
-            m11 = g11 + lr * (g11 + floor)
-            det = m00 * m11 - g01 * g01
-            step = np.stack([(g01 * b1 - m11 * b0) / det, (g01 * b0 - m00 * b1) / det], axis=-1)
-            Wt = Wr + step
-            Rt, St = residuals(Wt, Y[rows])
-            ok, within = St <= Sr, inside(Wt)
-            left = rows[ok & ~within]
-            ok &= within
-            small = (np.abs(step) < 1e-10 * (1.0 + np.abs(Wr))).all(axis=-1)
-            done = ok & (Sr - St <= SOLVE_FTOL * Sr) & small
-            moved = rows[ok]
-            W[moved], R[moved], S[moved] = Wt[ok], Rt[ok], St[ok]
-            stale[moved] = True
-            lam[rows] = np.where(ok, np.maximum(0.1 * lr, 1e-3), 10.0 * lr)
+            fnorm = np.sqrt(S)
+            c0, c1 = np.sqrt(g00), np.sqrt(g11)
+            d0, d1 = np.maximum(d0, c0), np.maximum(d1, c1)
+            # gtol: the cosine of each column with the residual is at most 1e-12
+            gtol = 1e-12 * fnorm
+            stop_g = (np.abs(b0) <= gtol * c0) & (np.abs(b1) <= gtol * c1)
+            par, p0, p1 = _lmpar(g00, g01, g11, b0, b1, d0, d1, delta, par)
+            pnorm = np.hypot(d0 * p0, d1 * p1)
+            delta = np.where(first, np.minimum(delta, pnorm), delta)
+            Wt = W + np.stack([p0, p1], axis=-1)
+            St, gram_t = evaluate(Wt, Yr)
+            nfev = nfev + 3
+            fnorm1 = np.sqrt(St)
+            actred = np.where(0.1 * fnorm1 < fnorm, 1.0 - St / S, -1.0)
+            t1 = (g00 * p0 * p0 + 2.0 * g01 * p0 * p1 + g11 * p1 * p1) / S
+            t2 = par * pnorm * pnorm / S
+            prered, dirder = t1 + 2.0 * t2, -(t1 + t2)
+            ratio = np.where(prered != 0.0, actred / prered, 0.0)
+            shrink = np.where(actred >= 0.0, 0.5, 0.5 * dirder / (dirder + 0.5 * actred))
+            shrink = np.where((0.1 * fnorm1 >= fnorm) | (shrink < 0.1), 0.1, shrink)
+            grow = (par == 0.0) | (ratio >= 0.75)
+            low = ratio <= 0.25
+            delta = np.where(low, shrink * np.minimum(delta, pnorm / 0.1),
+                             np.where(grow, pnorm / 0.5, delta))
+            par = np.where(low, par / shrink, np.where(grow, 0.5 * par, par))
+            ok = (ratio >= 1e-4) & ~stop_g
+            left = ok & ~inside(Wt)
+            ok &= ~left
+            W = np.where(ok[:, None], Wt, W)
+            S = np.where(ok, St, S)
+            g00, g01, g11, b0, b1 = (np.where(ok, a, b) for a, b in zip(gram_t, (g00, g01, g11, b0, b1)))
+            xnorm = np.where(ok, np.hypot(d0 * (W[:, 0] - W0[:, 0] + 100.0),
+                                          d1 * (W[:, 1] - W0[:, 1] + 100.0)), xnorm)
+            first &= ~ok
+            stop_f = (np.abs(actred) <= SOLVE_FTOL) & (prered <= SOLVE_FTOL) & (ratio <= 2.0)
+            done = stop_g | (~left & (stop_f | (delta <= 1e-12 * xnorm)))
+            W_out[rows], S_out[rows], nfev_out[rows] = W, S, nfev
             certified[rows[done]] = True
-            active[rows[done]] = False
-            active[left] = False
+            keep = ~(done | left | ~np.isfinite(pnorm))
+            state = [rows, Yr, W, W0, S, g00, g01, g11, b0, b1, d0, d1, xnorm, delta, par, first, nfev]
         scale = np.maximum(1.0, np.abs(Y).max(axis=-1))
-        certified &= S / n >= (1e-8 * scale) ** 2
-    return W, certified
+        certified &= S_out / n >= (1e-8 * scale) ** 2
+    return W_out, S_out, nfev_out, certified
+
+
+def _fit_cold_many(t: np.ndarray, Y: np.ndarray) -> tuple[list, dict[int, str]]:
+    """``fit_nls(TimeSeries(t, y), TWO_COMP)`` of each row y of ``Y`` (shape
+    (B, n)), as one batch.
+
+    Each row takes ``_fit_coords``'s two grid starts, the best point on each
+    side of alpha = beta, and one ``_polish_many`` polishes all 2B of them.
+    A row with both certified keeps the lower SSE (the alpha > beta side on
+    a tie, as ``_fit_coords`` does) and gets ``fit_nls``'s report
+    (``_fit_report``); the others are fit by ``fit_nls``. Returns (reports,
+    {row: exception class name} of the rows that raised); a row that raised
+    has report None.
+    """
+    sep = _SEPARABLE[Family.TWO_COMP]
+    B, n = Y.shape
+    side = np.full(B, -1)  # each row's certified start in the batch; -1: none
+    # times that fit_nls refuses go to it, to raise
+    if n > curves.family_arity(Family.TWO_COMP) and np.all(np.diff(t) > 0.0) and np.isfinite(t).all():
+        starts = np.concatenate(_grid_best(*_grid(sep, t, Y, np.zeros(2), 0), split=True))
+        W, S, nfev, certified = _polish_many(sep, t, np.concatenate([Y, Y]), starts)
+        side = np.where(S[B:] < S[:B], np.arange(B, 2 * B), np.arange(B))
+        side[~(certified[:B] & certified[B:])] = -1
+    reports, errors = [None] * B, {}
+    for i, y in enumerate(Y):
+        try:
+            if side[i] < 0:
+                reports[i] = fit_nls(TimeSeries(t, y), Family.TWO_COMP)
+            else:
+                w = W[side[i]]
+                theta = sep.theta(w, sep.solve(w, t, y)[1])
+                reports[i] = _fit_report(Family.TWO_COMP, t, y, theta, int(nfev[side[i]]))
+        except RECOVERABLE as exc:
+            errors[i] = type(exc).__name__
+    return reports, errors
+
+
+def _failure_counts(names) -> dict[str, int]:
+    """{exception class name: count}, in name order."""
+    names = sorted(names)
+    return {name: names.count(name) for name in names}
+
 
 # ---------------------------------------------------------------------------
 # boundary-moment identification
@@ -728,6 +901,11 @@ class PrePostReport:
     n_boot_failed: int
     #: failed replicates by exception class name; the counts sum to n_boot_failed
     failures: dict[str, int]
+    #: the window's own fit is flagged (not converged, or its covariance
+    #: singular or ill-conditioned): its beta and the bootstrap around it
+    #: are not to be trusted
+    pre_cov_unreliable: bool
+    post_cov_unreliable: bool
 
 
 def _count_weekends(dow: np.ndarray) -> int:
@@ -768,7 +946,7 @@ def _refit_betas(t: np.ndarray, Y: np.ndarray, theta: np.ndarray) -> tuple[np.nd
     certifies from it, the others refit by ``fit_nls(init=theta)``. Returns
     (beta, {row: exception class name} of the refits that failed)."""
     sep = _SEPARABLE[Family.TWO_COMP]
-    W, certified = _polish_many(sep, t, Y, sep.coords(theta))
+    W, _, _, certified = _polish_many(sep, t, Y, sep.coords(theta))
     beta = sep.params(W)[:, 1]
     errors = {}
     for i in np.flatnonzero(~certified):
@@ -797,7 +975,9 @@ def prepost_delta_beta(
     warm-started at the window's fit (``_polish_many``); a replicate the
     batch does not certify is refit singly by ``fit_nls(init=...)``. A
     replicate fails when a refit of either window raises; ``failures``
-    counts them by exception class. Deterministic given (inputs, seed), and
+    counts them by exception class. ``pre_cov_unreliable`` and
+    ``post_cov_unreliable`` flag a window whose own fit did not converge or
+    has an unreliable covariance. Deterministic given (inputs, seed), and
     independent of the batch size. Raises ValidationError before any fit
     when ``n_boot`` < 10, fewer replicates than the variance needs.
     """
@@ -837,8 +1017,8 @@ def prepost_delta_beta(
         post.times, fitted_post + estar[rows, len(pre) :], fit_post.theta
     )
     kept = [j for j in range(len(rows)) if j not in post_errors]
-    names = sorted([*errors.values(), *post_errors.values()])
-    failed = len(names)
+    failures = _failure_counts([*errors.values(), *post_errors.values()])
+    failed = sum(failures.values())
     if n_boot - failed < 10:
         raise NonConvergence(f"block bootstrap failed in {failed}/{n_boot} replicates")
     arr = np.column_stack([beta_boot_pre[rows[kept]], beta_boot_post[kept]])
@@ -860,7 +1040,9 @@ def prepost_delta_beta(
         cov_pre_post=cov,
         n_boot=n_boot,
         n_boot_failed=failed,
-        failures={name: names.count(name) for name in names},
+        failures=failures,
+        pre_cov_unreliable=not fit_pre.converged or fit_pre.cov_unreliable,
+        post_cov_unreliable=not fit_post.converged or fit_post.cov_unreliable,
     )
 
 

@@ -18,7 +18,6 @@ import scipy.linalg
 from . import curves
 from .curves import ThetaTwoComp
 from .errors import (
-    RECOVERABLE,
     BinomialBoundary,
     NonConvergence,
     PoissonBoundary,
@@ -305,6 +304,8 @@ class CrlbCheck:
     ratio_beta: float
     replicates: int
     n_failed: int
+    #: failed refits by exception class name; the counts sum to n_failed
+    failures: dict[str, int]
 
 
 def crlb_check(
@@ -317,11 +318,14 @@ def crlb_check(
 ) -> CrlbCheck:
     """Monte-Carlo check that empirical NLS variances respect the profiled CRLB.
 
-    Simulates under ``em``, refits by estimate.fit_nls, and reports empirical
-    Var(alpha_hat), Var(beta_hat) next to the bounds. Replicate seeds are
-    counter-based, so the result is a pure function of (inputs, seed).
-    ``threads`` is accepted and ignored (replicates run in one loop). Fit
-    failures are counted; fewer than 2 successful refits raise NonConvergence.
+    Simulates every replicate under ``em``, refits them all as one batch of
+    cold two-component fits (``estimate._fit_cold_many``; a replicate the
+    batch does not certify is refit by ``estimate.fit_nls``), and reports
+    empirical Var(alpha_hat), Var(beta_hat) next to the bounds. Replicate
+    seeds are counter-based, so the result is a pure function of (inputs,
+    seed). ``threads`` is accepted and ignored (replicates run in one
+    process). Fit failures are counted, by exception class in ``failures``;
+    fewer than 2 successful refits raise NonConvergence.
     """
     from . import estimate  # local import: estimate does not depend on fisher
 
@@ -330,16 +334,12 @@ def crlb_check(
     times = np.atleast_1d(np.asarray(times, dtype=float))
     report = info_matrix(theta, times, em)
 
-    def one(i: int):
-        rng = np.random.default_rng(np.random.SeedSequence((_seed_int(seed), 0, i)))
-        y = sample_observations(theta, times, em, rng)
-        try:
-            fit = estimate.fit_nls(estimate.TimeSeries(times, y), "twocomp")
-        except RECOVERABLE:
-            return None
-        return float(fit.theta[1]), float(fit.theta[3])
-
-    ok = [r for r in (one(i) for i in range(replicates)) if r is not None]
+    Y = np.array([
+        sample_observations(theta, times, em, np.random.default_rng(np.random.SeedSequence((_seed_int(seed), 0, i))))
+        for i in range(replicates)
+    ])
+    fits, errors = estimate._fit_cold_many(times, Y)
+    ok = [(float(fit.theta[1]), float(fit.theta[3])) for fit in fits if fit is not None]
     if len(ok) < 2:
         raise NonConvergence(
             f"{replicates - len(ok)}/{replicates} refits failed; need 2 for a variance"
@@ -356,6 +356,7 @@ def crlb_check(
         ratio_beta=mc_var_beta / report.crlb_beta,
         replicates=replicates,
         n_failed=replicates - len(ok),
+        failures=estimate._failure_counts(errors.values()),
     )
 
 

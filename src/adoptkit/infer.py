@@ -156,13 +156,32 @@ def constrained_lr(
     if fit is None:
         fit = estimate.fit_nls(series, Family.TWO_COMP)
     th = fit.theta_two_comp()
-    sse_u = fit.sse
-    if curves.monotone_condition(th):
+    sse_c = None if curves.monotone_condition(th) else estimate._monotone_sse(series.times, series.values, th)
+    return _lr_result(len(series), fit.sse, sse_c)
+
+
+def _constrained_lr_many(t: np.ndarray, Y: np.ndarray, fits: list) -> list[TestResult | None]:
+    """``constrained_lr(TimeSeries(t, y), fit)`` of each row y of ``Y`` and
+    its free fit, with the constrained fits as one batch
+    (``estimate._monotone_sse_many``); None where that fit raises."""
+    thetas = [fit.theta_two_comp() for fit in fits]
+    rows = [i for i, th in enumerate(thetas) if not curves.monotone_condition(th)]
+    sse_c, errors = dict.fromkeys(range(len(fits))), {}
+    if rows:
+        sse, errors = estimate._monotone_sse_many(t, Y[rows], [thetas[i] for i in rows])
+        sse_c.update(zip(rows, sse.tolist()))
+    failed = {rows[j] for j in errors}
+    return [None if i in failed else _lr_result(len(t), fit.sse, sse_c[i]) for i, fit in enumerate(fits)]
+
+
+def _lr_result(n: int, sse_u: float, sse_c: float | None) -> TestResult:
+    """``constrained_lr``'s Lambda and p from the free SSE and the
+    constrained SSE, None when the free fit is monotone."""
+    if sse_c is None:
         lam = 0.0
     else:
-        sse_c = estimate._monotone_sse(series.times, series.values, th)
         log_ratio = math.log(sse_c / sse_u) if sse_u > 0 else 0.0
-        lam = len(series) * log_ratio if log_ratio > estimate.SOLVE_FTOL else 0.0
+        lam = n * log_ratio if log_ratio > estimate.SOLVE_FTOL else 0.0
     p = 1.0 if lam <= 0.0 else float(0.5 * chdtrc(1, lam))
     return TestResult(
         statistic=lam,

@@ -179,6 +179,8 @@ class ScenarioResult:
     well_conditioned: bool
     replicates: int
     n_failed: int
+    #: failed replicates by exception class name; the counts sum to n_failed
+    failures: dict[str, int]
     degraded: bool
     coverage_tstar: float | None
     coverage_ci: tuple[float, float] | None
@@ -233,35 +235,28 @@ def _run_scenario(
     except RECOVERABLE:
         crlb_beta = None
 
-    def one(i: int):
-        seed = (grid.seed, scenario_index, i)
-        rng = np.random.default_rng(seed)
-        y = fisher.sample_observations(theta, times, em, rng)
-        series = TimeSeries(times, y)
-        out = {}
-        try:
-            fit = estimate.fit_nls(series, "twocomp")
-        except RECOVERABLE:
-            return None
-        out["beta_hat"] = float(fit.theta[3])
+    seeds = [(grid.seed, scenario_index, i) for i in range(grid.replicates)]
+    Y = np.array([fisher.sample_observations(theta, times, em, np.random.default_rng(s)) for s in seeds])
+    fits, errors = estimate._fit_cold_many(times, Y)
+    rows = [i for i in range(grid.replicates) if i not in errors]
+    tests = infer._constrained_lr_many(times, Y[rows], [fits[i] for i in rows])
+    ok = []
+    for i, lr in zip(rows, tests):
+        fit = fits[i]
+        out = {"beta_hat": float(fit.theta[3])}
         if has_trough:
             try:
                 delta = estimate.delta_ci_tstar(fit, level=grid.level)
                 out["covered"] = delta.ci[0] <= t_true <= delta.ci[1]
             except RECOVERABLE:
                 out["covered"] = False  # no interior extremum in the fit: CI missed
+        out["lr_reject"] = None if lr is None else lr.p_value < 0.05
         try:
-            out["lr_reject"] = infer.constrained_lr(series, fit=fit).p_value < 0.05
-        except RECOVERABLE:
-            out["lr_reject"] = None
-        try:
-            shape = infer.shape_test(series, n_boot=grid.shape_boot, seed=(*seed, 1))
+            shape = infer.shape_test(TimeSeries(times, Y[i]), n_boot=grid.shape_boot, seed=(*seeds[i], 1))
             out["shape_reject"] = shape.p_value < 0.05
         except RECOVERABLE:
             out["shape_reject"] = None
-        return out
-
-    ok = [r for r in (one(i) for i in range(grid.replicates)) if r is not None]
+        ok.append(out)
     n_failed = grid.replicates - len(ok)
     degraded = n_failed > 0.2 * grid.replicates
 
@@ -290,6 +285,7 @@ def _run_scenario(
         well_conditioned=well_conditioned,
         replicates=grid.replicates,
         n_failed=n_failed,
+        failures=estimate._failure_counts(errors.values()),
         degraded=degraded,
         coverage_tstar=cov,
         coverage_ci=cov_ci,
@@ -310,7 +306,15 @@ def run_benchmark(grid: ScenarioGrid, threads: int = 1) -> BenchmarkReport:
     trough truth, |umax - n0|/umax >= 0.05); near-degenerate and correlated
     scenarios are reported but flagged.
 
-    ``threads`` is accepted and ignored: replicates run in one loop (the work
+    Each scenario simulates all its replicates first and then fits them
+    together: the free two-component fits as one batch
+    (``estimate._fit_cold_many``) and, for the fits that are not monotone,
+    the constrained fits of the LR test as another
+    (``infer._constrained_lr_many``); a replicate the batch does not certify
+    is fit singly, as before. ``failures`` counts the replicates whose free
+    fit raised, by exception class.
+
+    ``threads`` is accepted and ignored: replicates run in one process (the work
     holds the GIL, so threads never sped it up) and output never depended on it.
     """
     scenarios = []

@@ -1,5 +1,6 @@
 """Command-line surface: JSON determinism, exit codes, and I/O."""
 
+import csv
 import inspect
 import json
 
@@ -298,6 +299,21 @@ class TestBenchmarkCommand:
         lines = out_csv.read_text().splitlines()
         assert lines[0].startswith("depth,n_points,error_model")
         assert len(lines) == 2 and "GaussianIid" in lines[1]
+
+    def test_csv_rows_of_the_default_noise_grid_are_distinct(self, capsys, tmp_path):
+        # the default sigmas and rhos: three iid and six AR(1) noise models
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("depths = 0.2\nn_points = 21\nreplicates = 2\nseed = 4\nshape_boot = 10\n")
+        out_csv = tmp_path / "bench.csv"
+        code, _ = run_cli(capsys, ["benchmark", "--config", str(cfg), "--out-csv", str(out_csv)])
+        assert code == 0
+        with out_csv.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        keys = {(r["depth"], r["n_points"], r["error_model"], r["sigma"], r["rho"]) for r in rows}
+        assert len(rows) == len(keys) == 9
+        assert {(r["sigma"], r["rho"]) for r in rows} == {
+            (s, r) for s in ("0.02", "0.05", "0.1") for r in ("0", "0.3", "0.6")
+        }
 
     def test_pilot_reference(self, capsys):
         payload = run_json(capsys, ["pilot", "--seed", "42", "--n-tasks", "200"])

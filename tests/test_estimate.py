@@ -432,7 +432,7 @@ class TestPrePost:
         sep = estimate._SEPARABLE[Family.TWO_COMP]
         certified = 0
         for t, Y, theta in batches:
-            W, ok = estimate._polish_many(sep, t, Y, sep.coords(theta))
+            W, _, _, ok = estimate._polish_many(sep, t, Y, sep.coords(theta))
             errors = refit(t, Y, theta)[1]
             for i, y in enumerate(Y):
                 try:
@@ -445,6 +445,24 @@ class TestPrePost:
                     A, c = sep.solve(W[i], t, y)
                     assert np.sum((c @ A - y) ** 2) <= ref * (1.0 + 1e-5)
         assert certified >= 360
+
+    def test_flagged_window_fit_is_reported(self):
+        # the third series drawn from default_rng((2, 0)): its pre-window fit
+        # runs to the beta -> 0 edge (beta ~ 6e-15, umax ~ 1e13)
+        t = np.arange(0.0, 31.0)
+        noise = np.random.default_rng((2, 0)).standard_normal((3, len(t)))[2]
+        y = np.where(
+            t < 15.5,
+            ak.eval_curve(ThetaTwoComp(1.0, 0.5, 2.0, 0.05), np.maximum(t - 5.0, 0.0)),
+            ak.eval_curve(ThetaTwoComp(1.0, 0.5, 2.0, 0.10), np.maximum(t - 16.0, 0.0)),
+        )
+        series = TimeSeries(t, y + 0.01 * noise)
+        spec = WindowSpec(intervention_time=15.0)
+        rep = ak.prepost_delta_beta(series, spec, n_boot=20, seed=(2, 0, 2))
+        assert rep.beta_pre < 1e-10
+        assert rep.pre_cov_unreliable and not rep.post_cov_unreliable
+        unflagged = ak.prepost_delta_beta(prepost_series(0.05, 0.10, 0.01, seed=1), spec, n_boot=20)
+        assert not unflagged.pre_cov_unreliable and not unflagged.post_cov_unreliable
 
 
 def prepost_per_replicate(series, spec, n_boot, seed, level=0.95):
@@ -486,6 +504,8 @@ def prepost_per_replicate(series, spec, n_boot, seed, level=0.95):
         ci=(delta - z * se, delta + z * se), window_used=w,
         weekend_rule_applied=weekend_rule, cov_pre_post=cov, n_boot=n_boot,
         n_boot_failed=len(names), failures={name: names.count(name) for name in sorted(names)},
+        pre_cov_unreliable=not fits[0].converged or fits[0].cov_unreliable,
+        post_cov_unreliable=not fits[1].converged or fits[1].cov_unreliable,
     )
 
 
@@ -505,16 +525,102 @@ class TestPolishMany:
     def test_a_row_does_not_depend_on_its_batch(self, count, seed, sigma):
         t, Y, theta = self.rows(count, seed, sigma)
         w0 = self.SEP.coords(theta)
-        W, ok = estimate._polish_many(self.SEP, t, Y, w0)
+        W, _, _, ok = estimate._polish_many(self.SEP, t, Y, w0)
         for i in range(count):
-            Wi, oki = estimate._polish_many(self.SEP, t, Y[i : i + 1], w0)
+            Wi, _, _, oki = estimate._polish_many(self.SEP, t, Y[i : i + 1], w0)
             assert Wi.tobytes() == W[i : i + 1].tobytes() and oki[0] == ok[i]
-        Wr, okr = estimate._polish_many(self.SEP, t, Y[::-1], w0)
+        Wr, _, _, okr = estimate._polish_many(self.SEP, t, Y[::-1], w0)
         assert Wr[::-1].tobytes() == W.tobytes() and (okr[::-1] == ok).all()
 
     def test_exact_fit_is_not_certified(self):
         t, Y, theta = self.rows(3, 0, 0.0)
-        assert not estimate._polish_many(self.SEP, t, Y, self.SEP.coords(theta) + 0.1)[1].any()
+        assert not estimate._polish_many(self.SEP, t, Y, self.SEP.coords(theta) + 0.1)[3].any()
+
+    def test_a_start_below_the_box_is_not_certified(self):
+        # beta below the start grid's box, where 1 - exp(-beta*t) loses digits
+        t, Y, theta = self.rows(5, 1, 0.01)
+        w0 = self.SEP.coords(theta)
+        w0[1] = estimate._ranges(t)["rate"][0] - 1.0
+        assert not estimate._polish_many(self.SEP, t, Y, w0)[3].any()
+        assert estimate._polish_many(self.SEP, t, Y, w0, floored=False)[3].all()
+
+    @staticmethod
+    def cold_rows(count, seed, sigma, depth):
+        t = np.linspace(0.0, 20.0, 21)
+        y = ak.eval_curve(simgen.theta_for_depth(depth), t)
+        return t, y + sigma * np.random.default_rng(seed).standard_normal((count, len(t)))
+
+    @staticmethod
+    def assert_rows_independent(sep, t, Y, starts, floored):
+        """Each row's bytes and certified flag are those of a batch of that
+        row alone, and of the batch in reverse order."""
+        out = estimate._polish_many(sep, t, Y, starts, floored)
+        for i in range(len(Y)):
+            alone = estimate._polish_many(sep, t, Y[i : i + 1], starts[i : i + 1], floored)
+            assert all(a.tobytes() == b[i : i + 1].tobytes() for a, b in zip(alone, out))
+        back = estimate._polish_many(sep, t, Y[::-1], starts[::-1], floored)
+        assert all(a[::-1].tobytes() == b.tobytes() for a, b in zip(back, out))
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(count=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+           sigma=st.sampled_from([0.0, 0.02, 0.05, 0.2]), depth=st.sampled_from([0.0, 0.2]))
+    def test_cold_rows_do_not_depend_on_their_batch(self, count, seed, sigma, depth):
+        t, Y = self.cold_rows(count, seed, sigma, depth)
+        # both grid starts of every row, the alpha > beta sides first
+        starts = np.concatenate(estimate._grid_best(*estimate._grid(self.SEP, t, Y, np.zeros(2), 0), True))
+        self.assert_rows_independent(self.SEP, t, np.concatenate([Y, Y]), starts, True)
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(count=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+           sigma=st.sampled_from([0.02, 0.05, 0.2]), depth=st.sampled_from([0.0, 0.2]))
+    def test_cone_rows_do_not_depend_on_their_batch(self, count, seed, sigma, depth):
+        cone = estimate._MONOTONE_CONE
+        t, Y = self.cold_rows(count, seed, sigma, depth)
+        W, val = estimate._grid(cone, t, Y, np.zeros(2), 0)
+        # even rows start from a free fit (some with alpha <= beta, on the
+        # alpha = beta limit), odd rows from the best local minimum of their grid
+        rng = np.random.default_rng(seed)
+        thetas = [ThetaTwoComp(*np.exp(rng.uniform(-1.5, 1.0, 4))) for _ in range(count)]
+        starts = np.array([estimate._cone_starts(th, W, val[:, i])[i % 2] for i, th in enumerate(thetas)])
+        self.assert_rows_independent(cone, t, Y, starts, False)
+
+    def test_certified_cold_and_cone_rows_match_the_per_row_fits(self, monkeypatch):
+        # seeded trough and boundary series: no SSE of the batch paths may be
+        # worse than the per-row path's, and most rows must not fall back
+        fit_nls, monotone_sse = estimate.fit_nls, estimate._monotone_sse
+        fallbacks = {"fit_nls": 0, "_monotone_sse": 0}
+
+        def counting(name, f):
+            def counted(*args):
+                fallbacks[name] += 1
+                return f(*args)
+            return counted
+
+        monkeypatch.setattr(estimate, "fit_nls", counting("fit_nls", fit_nls))
+        monkeypatch.setattr(estimate, "_monotone_sse", counting("_monotone_sse", monotone_sse))
+        rows = cone_rows = 0
+        noise = (fisher.GaussianIid(0.05), fisher.GaussianAr1(0.05, 0.3))
+        # part of a seeded set of 960 series, and overshoots (alpha < beta),
+        # whose fits come from the other side of alpha = beta
+        cases = [(simgen.theta_for_depth(depth), em, n, (7300 + di, ni, n))
+                 for (di, depth), (ni, em), n in itertools.product([(0, 0.0), (2, 0.2), (3, 0.4)], enumerate(noise), (21, 41))]
+        cases.append((ThetaTwoComp(1.5, 0.15, 2.0, 0.6), noise[0], 21, (7310,)))
+        for theta, em, n, seed in cases:
+            t = np.linspace(0.0, 20.0, n)
+            Y = np.array([simgen.gen_series(theta, em, n, 20.0, seed=(*seed, s)).values for s in range(45, 60)])
+            fits, errors = estimate._fit_cold_many(t, Y)
+            assert not errors
+            for fit, y in zip(fits, Y):
+                assert fit.sse <= fit_nls(TimeSeries(t, y), Family.TWO_COMP).sse * (1.0 + 1e-9)
+            free = [i for i, fit in enumerate(fits) if not curves.monotone_condition(fit.theta_two_comp())]
+            thetas = [fits[i].theta_two_comp() for i in free]
+            sse, errors = estimate._monotone_sse_many(t, Y[free], thetas)
+            assert not errors
+            for j, i in enumerate(free):
+                assert sse[j] == pytest.approx(monotone_sse(t, Y[i], thetas[j]), rel=1e-9)
+            rows, cone_rows = rows + len(Y), cone_rows + len(free)
+        assert fallbacks["fit_nls"] <= 0.2 * rows
+        assert fallbacks["_monotone_sse"] <= 0.1 * cone_rows
 
 
 class TestProfileCi:

@@ -9,6 +9,7 @@ import adoptkit as ak
 from adoptkit import fisher
 from adoptkit.curves import ThetaTwoComp
 from adoptkit.errors import (
+    RECOVERABLE,
     BinomialBoundary,
     NonConvergence,
     PoissonBoundary,
@@ -255,6 +256,8 @@ class TestCrlbCheck:
     def test_fewer_than_two_refits_raise(self, monkeypatch, n_ok):
         from adoptkit import estimate
 
+        # every refit goes to estimate.fit_nls only when the batch certifies none
+        monkeypatch.setattr(estimate, "_BATCH_MAX_ITER", 0)
         fit_nls = estimate.fit_nls
         calls = []
 
@@ -268,3 +271,49 @@ class TestCrlbCheck:
         times = np.linspace(0, 20, 21)
         with pytest.raises(NonConvergence, match=f"{100 - n_ok}/100 refits failed"):
             fisher.crlb_check(THETA, times, GaussianIid(0.05), replicates=100)
+
+    def test_every_row_through_the_fallback_matches_the_per_replicate_loop(self, monkeypatch):
+        from adoptkit import estimate
+
+        monkeypatch.setattr(estimate, "_BATCH_MAX_ITER", 0)
+        for times, em, seed in [
+            (np.linspace(0, 20, 41), GaussianIid(0.05), 3),
+            (np.linspace(0, 20, 21), GaussianAr1(0.05, 0.3), (4, 1)),
+        ]:
+            a = fisher.crlb_check(THETA, times, em, replicates=100, seed=seed)
+            assert repr(a) == repr(crlb_per_replicate(THETA, times, em, 100, seed))
+
+    def test_failed_refits_are_counted_by_class(self):
+        # Bernoulli points at A(t)/200: the all-zero replicates are constant
+        # series, which fit_nls refuses with SingularJacobian
+        times = np.linspace(0, 20, 21)
+        em = BinomialCounts(m=200.0, trials=1)
+        a = fisher.crlb_check(THETA, times, em, replicates=100, seed=7)
+        assert sum(a.failures.values()) == a.n_failed > 0 and "SingularJacobian" in a.failures
+        assert a.failures == crlb_per_replicate(THETA, times, em, 100, 7).failures
+
+
+def crlb_per_replicate(theta, times, em, replicates, seed):
+    """``fisher.crlb_check`` as one cold ``fit_nls`` per replicate, one
+    replicate at a time."""
+    from adoptkit import estimate
+
+    report = info_matrix(theta, times, em)
+    ok, names = [], []
+    for i in range(replicates):
+        rng = np.random.default_rng(np.random.SeedSequence((fisher._seed_int(seed), 0, i)))
+        y = sample_observations(theta, times, em, rng)
+        try:
+            fit = estimate.fit_nls(estimate.TimeSeries(times, y), "twocomp")
+        except RECOVERABLE as exc:
+            names.append(type(exc).__name__)
+            continue
+        ok.append((float(fit.theta[1]), float(fit.theta[3])))
+    arr = np.asarray(ok)
+    var_alpha, var_beta = float(np.var(arr[:, 0], ddof=1)), float(np.var(arr[:, 1], ddof=1))
+    return fisher.CrlbCheck(
+        mc_var_alpha=var_alpha, mc_var_beta=var_beta, crlb_alpha=report.crlb_alpha,
+        crlb_beta=report.crlb_beta, ratio_alpha=var_alpha / report.crlb_alpha,
+        ratio_beta=var_beta / report.crlb_beta, replicates=replicates, n_failed=len(names),
+        failures={name: names.count(name) for name in sorted(names)},
+    )

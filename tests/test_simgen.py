@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import adoptkit as ak
-from adoptkit import fisher, jsonio, simgen
+from adoptkit import curves, estimate, fisher, infer, jsonio, simgen
 from adoptkit.curves import PhaseKind, ThetaTwoComp
-from adoptkit.errors import ValidationError
+from adoptkit.errors import RECOVERABLE, ValidationError
 from adoptkit.fisher import BinomialCounts, GaussianAr1, GaussianIid, PoissonCounts
 
 THETA = ThetaTwoComp(3.0, 0.8, 2.0, 0.25)
@@ -160,3 +160,95 @@ class TestBenchmark:
         )
         report = simgen.run_benchmark(grid)
         assert not report.scenarios[0].well_conditioned
+
+    def test_every_row_through_the_fallback_matches_the_per_replicate_loop(self, monkeypatch):
+        grid = simgen.ScenarioGrid(
+            thetas=tuple(simgen.theta_for_depth(d) for d in (0.0, 0.2)),
+            error_models=(GaussianIid(0.05), GaussianAr1(0.05, 0.3)),
+            n_points=(21,),
+            replicates=12,
+            seed=23,
+            shape_boot=30,
+        )
+        monkeypatch.setattr(estimate, "_BATCH_MAX_ITER", 0)
+        batch = jsonio.dumps_canonical(simgen.run_benchmark(grid))
+        monkeypatch.setattr(simgen, "_run_scenario", scenario_per_replicate)
+        assert batch == jsonio.dumps_canonical(simgen.run_benchmark(grid))
+
+    def test_failed_replicates_are_counted_by_class(self, monkeypatch):
+        # one Bernoulli trial per point at A(t)/40 ~ 0.05: many replicates are
+        # all zeros, which the batch leaves to fit_nls, which raises
+        # SingularJacobian on a constant series
+        grid = simgen.ScenarioGrid(
+            thetas=(simgen.theta_for_depth(0.2),),
+            error_models=(BinomialCounts(m=40.0, trials=1),),
+            n_points=(21,),
+            replicates=20,
+            seed=3,
+            shape_boot=20,
+        )
+        s = simgen.run_benchmark(grid).scenarios[0]
+        assert sum(s.failures.values()) == s.n_failed > 0 and "SingularJacobian" in s.failures
+        oracle = scenario_per_replicate(grid.thetas[0], grid.error_models[0], 21, grid, 0)
+        assert oracle.failures == s.failures
+
+
+def scenario_per_replicate(theta, em, n_points, grid, scenario_index):
+    """``simgen._run_scenario`` as one cold ``fit_nls`` and one
+    ``constrained_lr`` per replicate, one replicate at a time."""
+    times = np.linspace(0.0, grid.horizon, n_points)
+    phase = curves.classify_phase(theta)
+    has_trough = phase.kind == PhaseKind.TROUGH
+    try:
+        crlb_beta = fisher.info_matrix(theta, times, em).crlb_beta
+    except RECOVERABLE:
+        crlb_beta = None
+    ok, names = [], []
+    for i in range(grid.replicates):
+        seed = (grid.seed, scenario_index, i)
+        series = estimate.TimeSeries(times, fisher.sample_observations(theta, times, em, np.random.default_rng(seed)))
+        try:
+            fit = estimate.fit_nls(series, "twocomp")
+        except RECOVERABLE as exc:
+            names.append(type(exc).__name__)
+            continue
+        out = {"beta_hat": float(fit.theta[3])}
+        if has_trough:
+            try:
+                ci = estimate.delta_ci_tstar(fit, level=grid.level).ci
+                out["covered"] = ci[0] <= phase.t_star <= ci[1]
+            except RECOVERABLE:
+                out["covered"] = False
+        try:
+            out["lr_reject"] = infer.constrained_lr(series, fit=fit).p_value < 0.05
+        except RECOVERABLE:
+            out["lr_reject"] = None
+        try:
+            out["shape_reject"] = infer.shape_test(series, n_boot=grid.shape_boot, seed=(*seed, 1)).p_value < 0.05
+        except RECOVERABLE:
+            out["shape_reject"] = None
+        ok.append(out)
+
+    def rate(key):
+        vals = [r[key] for r in ok if r.get(key) is not None]
+        k = sum(bool(v) for v in vals)
+        return (k / len(vals), simgen.wilson_interval(k, len(vals))) if vals else (None, None)
+
+    cov, cov_ci = rate("covered") if has_trough else (None, None)
+    lr, lr_ci = rate("lr_reject")
+    shape_rate = rate("shape_reject")[0]
+    betas = np.array([r["beta_hat"] for r in ok])
+    near_degenerate = theta.umax > 0 and abs(theta.umax - theta.n0) / theta.umax < 0.05
+    monotone = not has_trough
+    return simgen.ScenarioResult(
+        theta=theta, error_model=em, n_points=n_points, depth=simgen.trough_depth(theta),
+        is_monotone_truth=monotone, near_degenerate=near_degenerate,
+        well_conditioned=isinstance(em, GaussianIid) and has_trough and not near_degenerate,
+        replicates=grid.replicates, n_failed=len(names),
+        failures={name: names.count(name) for name in sorted(names)},
+        degraded=len(names) > 0.2 * grid.replicates, coverage_tstar=cov, coverage_ci=cov_ci,
+        type1_lr=lr if monotone else None, type1_lr_ci=lr_ci if monotone else None,
+        type1_shape=shape_rate if monotone else None, power_lr=None if monotone else lr,
+        power_lr_ci=None if monotone else lr_ci, power_shape=None if monotone else shape_rate,
+        mean_crlb_ratio=float(np.var(betas, ddof=1) / crlb_beta) if crlb_beta is not None and len(ok) >= 2 else None,
+    )
