@@ -257,8 +257,9 @@ def _amplitudes(G, b, nonneg, where=lambda cond, x, y: x if cond else y):
     if len(b) == 1:
         return singles, -b[0] * singles[0]
     (g00, g01), (_, g11) = G
-    first = -b[0] * singles[0] <= -b[1] * singles[1]
-    best = where(first, -b[0] * singles[0], -b[1] * singles[1])
+    gain0, gain1 = -b[0] * singles[0], -b[1] * singles[1]
+    first = gain0 <= gain1
+    best = where(first, gain0, gain1)
     det = g00 * g11 - g01 * g01
     full = det > 1e-12 * g00 * g11
     det = where(full, det, 1.0)
@@ -557,172 +558,172 @@ def _lmdif(residual, z0: np.ndarray, max_nfev: int) -> OptimizeResult:
 _BATCH_MAX_ITER = 50
 
 
-def _lmpar(g00, g01, g11, b0, b1, d0, d1, delta, par):
-    """MINPACK's lmpar for two coordinates, elementwise over rows.
+def _lmpar(gd, g01, b, d, delta, par):
+    """MINPACK's lmpar for two coordinates, elementwise over the rows (last
+    axis) of J'J's diagonal gd and off-diagonal g01, J'f = b, the scaling
+    diagonal d, the trust radius ``delta`` and the previous ``par``: par >= 0
+    and the step p = -(J'J + par*D^2)^-1 J'f with ||D p|| within 10% of delta,
+    or par = 0 and the Gauss-Newton step when that is no longer than
+    1.1*delta (along the longer column alone if J'J is singular, as MINPACK's
+    pivoted QR does). p is solved in closed form; par follows MINPACK's
+    safeguarded Newton iteration on ||D p||^2 = sum_i z_i^2 / (lam_i + par)^2,
+    lam the eigenvalues of H = D^-1 J'J D^-1 and z = D^-1 J'f in their basis:
+    a few elementwise operations per step, and a row keeps its par once it
+    meets a stop test. Returns (par, p), shapes (m,) and (2, m)."""
 
-    From J'J = [[g00, g01], [g01, g11]], J'f = (b0, b1), the scaling
-    diagonal (d0, d1), the trust radius ``delta`` and the previous ``par``:
-    the Levenberg-Marquardt parameter par >= 0 and the step
-    p = -(J'J + par*D^2)^-1 J'f with ||D p|| within 10% of delta, or par = 0
-    and the Gauss-Newton step when that is no longer than 1.1*delta. The 2x2
-    systems are solved in closed form; a singular J'J takes its Gauss-Newton
-    step along its longer column alone, as MINPACK's pivoted QR does.
-    Returns (par, p0, p1).
-    """
+    def solve(m):  # -[[m0, g01], [g01, m1]]^-1 b, and the determinant
+        det = m[0] * m[1] - g01 * g01
+        return (g01 * b[::-1] - m[::-1] * b) / det, det
 
-    def solve(m00, m11):
-        det = m00 * m11 - g01 * g01
-        return (g01 * b1 - m11 * b0) / det, (g01 * b0 - m00 * b1) / det, det
-
-    def q_norm2(p0, p1, dxnorm, m00, m11, det):
-        # ||R^-T D^2 p|| squared, D^2 p normalised by ||D p||
-        q0, q1 = d0 * d0 * p0 / dxnorm, d1 * d1 * p1 / dxnorm
-        return (m11 * q0 * q0 - 2.0 * g01 * q0 * q1 + m00 * q1 * q1) / det
-
-    p0, p1, det = solve(g00, g11)
+    p, det = solve(gd)
     full = det > 0.0
-    if not full.all():
-        first = g00 >= g11
-        p0 = np.where(full, p0, np.where(first & (g00 > 0.0), -b0 / g00, 0.0))
-        p1 = np.where(full, p1, np.where(~first & (g11 > 0.0), -b1 / g11, 0.0))
-    dxnorm = np.hypot(d0 * p0, d1 * p1)
+    singular = not full.all()
+    if singular:
+        first = gd[0] >= gd[1]
+        p = np.where(full, p, np.where(np.array([first, ~first]) & (gd > 0.0), -b / gd, 0.0))
+    dxnorm = np.hypot(*(d * p))
     fp = dxnorm - delta
     live = fp > 0.1 * delta
     if not live.any():
-        return np.zeros_like(par), p0, p1
-    parl = np.where(full, fp / delta / q_norm2(p0, p1, dxnorm, g00, g11, det), 0.0)
-    gnorm = np.hypot(b0 / d0, b1 / d1)
-    paru = gnorm / delta
-    paru = np.where(paru == 0.0, np.finfo(float).tiny / np.minimum(delta, 0.1), paru)
+        return np.zeros_like(par), p
+    dd, hd = d[0] * d[1], gd / (d * d)
+    dif, h01 = 0.5 * (hd[0] - hd[1]), g01 / dd
+    lam1 = 0.5 * (hd[0] + hd[1]) + np.hypot(dif, h01)
+    # the small eigenvalue from det(J'J), which keeps its digits when H is badly scaled
+    lam = np.array([np.maximum(det, 0.0) / (dd * dd) / lam1, lam1])
+    phi = 0.5 * np.arctan2(h01, dif)
+    c, s, g = np.cos(phi), np.sin(phi), b / d
+    zz = np.array([c * g[1] - s * g[0], c * g[0] + s * g[1]]) ** 2  # on eigenvectors (-s, c), (c, s)
+    paru = np.hypot(*g) / delta
+    # the lower bound: the Newton step from par = 0, or 0 when J'J is singular
+    w = zz / (lam * lam)
+    u = w / lam
+    parl = np.where(full, fp / delta * (w[0] + w[1]) / (u[0] + u[1]), 0.0)
     par = np.minimum(np.maximum(par, parl), paru)
-    par = np.where(live, np.where(par == 0.0, gnorm / dxnorm, par), 0.0)
+    if singular:
+        par = np.where(par == 0.0, paru * delta / dxnorm, par)  # ||D^-1 J'f|| / ||D p||
+    stepped, tol = live, 0.1 * delta
     for it in range(10):
-        par = np.where(live & (par == 0.0), np.maximum(np.finfo(float).tiny, 0.001 * paru), par)
-        m00, m11 = g00 + par * d0 * d0, g11 + par * d1 * d1
-        q0, q1, det = solve(m00, m11)
-        p0, p1 = np.where(live, q0, p0), np.where(live, q1, p1)
-        dxnorm = np.hypot(d0 * p0, d1 * p1)
-        last, fp = fp, np.where(live, dxnorm - delta, fp)
-        live &= ~((np.abs(fp) <= 0.1 * delta) | ((parl == 0.0) & (fp <= last) & (last < 0.0)))
+        r = 1.0 / (lam + par)
+        w = zz * r * r
+        dx2 = w[0] + w[1]
+        last, fp = fp, np.sqrt(dx2) - delta
+        live = live & (np.abs(fp) > tol)
+        if singular:
+            live &= (parl != 0.0) | (fp > last) | (last >= 0.0)
         if it == 9 or not live.any():
             break
-        parc = fp / delta / q_norm2(p0, p1, dxnorm, m00, m11, det)
-        parl = np.where(live & (fp > 0.0), np.maximum(parl, par), parl)
-        paru = np.where(live & (fp < 0.0), np.minimum(paru, par), paru)
-        par = np.where(live, np.maximum(parl, par + parc), par)
-    return par, p0, p1
+        w *= r
+        parc = fp / delta * dx2 / (w[0] + w[1])
+        np.maximum(parl, par, out=parl, where=fp > 0.0)
+        np.minimum(paru, par, out=paru, where=fp < 0.0)
+        np.maximum(parl, par + parc, out=par, where=live)
+        if singular:
+            np.maximum(np.finfo(float).tiny, 0.001 * paru, out=par, where=live & (par == 0.0))
+    par = np.where(stepped, par, 0.0)
+    return par, np.where(stepped, solve(gd + par * d * d)[0], p)
 
 
 def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, floored: bool = True):
-    """Levenberg-Marquardt polish of the coordinates of every row of ``Y``
-    (shape (B, n), one series per row on the times ``t``) from ``w0``, one
-    start per row (shape (B, 2)) or one for all (shape (2,)), for a family of
-    two coordinates and one or two amplitudes: the package's one batched LM.
+    """Levenberg-Marquardt polish of the 2 coordinates of each row of ``Y``
+    (shape (B, n), a series per row on the times ``t``) from ``w0`` (shape
+    (B, 2), or (2,) for all), for a family with one or two amplitudes: the
+    package's one batched LM. It follows MINPACK's lmdif (Moré 1978, *LNM*
+    630:105) with ``_lmdif``'s tolerances: column-norm scaling, a trust radius
+    with ``_lmpar``'s parameter, the 0.25/0.75 ratio rules, and the ftol
+    (SOLVE_FTOL), xtol (1e-12, on ``_lmdif``'s shifted coordinates) and gtol
+    (1e-12) tests, with the projected residual's Jacobian by forward
+    differences at lmdif's step, evaluated with each trial point. Every
+    operation is elementwise or a sum along a row (``np.einsum``, no BLAS):
+    a row's numbers do not depend on its batch, and nothing raises. The
+    active rows' state is one array, a row per field, so an iteration makes
+    the same numpy calls on 2 rows as on 200.
 
-    It follows MINPACK's lmdif (Moré 1978, *LNM* 630:105) with ``_lmdif``'s
-    tolerances: column-norm scaling, a trust radius with ``_lmpar``'s
-    parameter, the 0.25/0.75 ratio rules, and the ftol (SOLVE_FTOL), xtol
-    (1e-12, on ``_lmdif``'s shifted coordinates) and gtol (1e-12) tests.
-    Each row's Jacobian of the projected residual is taken by forward
-    differences with lmdif's step, and each trial point and its two
-    difference neighbours are evaluated in one call, so an accepted step has
-    its Jacobian ready. Every operation is elementwise or a sum along a row:
-    a row's numbers do not depend on the other rows of the batch, and
-    nothing raises.
-
-    A row is certified when it meets one of the three tests. It is left
-    uncertified when it is still active after ``_BATCH_MAX_ITER`` trial
-    steps, when its SSE or step is not finite, when it is fitted exactly
-    (where ``fit_nls`` may raise SingularJacobian), and, when ``floored``,
-    when its start or an accepted step has a coordinate below the start
-    grid's box: there the two-component column ``1 - exp(-beta*t)`` loses
-    its digits as beta -> 0 and the data do not identify the rate (the
-    cone's ``expm1`` columns stay exact, so it is not floored). Returns (W,
+    A row is certified when it meets one of the three tests; it is not when
+    it is still active after ``_BATCH_MAX_ITER`` trial steps, when its SSE or
+    step is not finite, when it is fitted exactly (``fit_nls`` may raise
+    SingularJacobian there), or, if ``floored``, when its start or an accepted
+    step has a coordinate below the start grid's box, where
+    ``1 - exp(-beta*t)`` loses its digits as beta -> 0 and the data do not
+    identify the rate (the cone's ``expm1`` columns stay exact). Returns (W,
     SSE, evaluations, certified), shapes (B, 2), (B,), (B,) and (B,).
     """
     h = 1.4901161193847656e-06  # lmdif's difference step at x = 100
     neighbours = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])[:, None, :]
 
     def evaluate(W, Yr):
-        """SSE and J0'J0, J0'J1, J1'J1, J0'r, J1'r at each row of W."""
-        m = len(W)
-        Y3 = np.concatenate([Yr, Yr, Yr])
-        A = sep.design((W + neighbours).reshape(3 * m, 2), t)
-        G = [[(a * c).sum(axis=-1) for c in A] for a in A]
-        c = _amplitudes(G, [(a * Y3).sum(axis=-1) for a in A], sep.nonneg, np.where)[0]
-        R = -Y3
-        for ci, a in zip(c, A):
-            R = R + ci[:, None] * a
-        r, J0, J1 = R[:m], (R[m : 2 * m] - R[:m]) / h, (R[2 * m :] - R[:m]) / h
-        return (r * r).sum(axis=-1), [(J0 * J0).sum(axis=-1), (J0 * J1).sum(axis=-1),
-                                      (J1 * J1).sum(axis=-1), (J0 * r).sum(axis=-1),
-                                      (J1 * r).sum(axis=-1)]
+        """The 3 x 3 products of (r, J0, J1) at the columns of W, shape (9, m)."""
+        m, k = W.shape[1], len(sep.amplitudes)
+        A = sep.design((W.T + neighbours).reshape(3 * m, 2), t)
+        b = np.einsum("ijmn,mn->ijm", A.reshape(k, 3, m, -1), Yr).reshape(k, 3 * m)
+        c = _amplitudes(np.einsum("imn,jmn->ijm", A, A), b, sep.nonneg, np.where)[0]
+        R = np.einsum("im,imn->mn", c, A).reshape(3, m, -1) - Yr
+        np.subtract(R[1:], R[0], out=R[1:])
+        R[1:] /= h
+        return np.einsum("imn,jmn->ijm", R, R).reshape(9, m)
 
     def inside(W):
-        return (W >= lo).all(axis=-1) if floored else np.ones(len(W), dtype=bool)
+        return np.logical_and(*(W >= lo)) if floored else np.ones(W.shape[1], dtype=bool)
 
-    lo = np.array([_ranges(t)[name][0] for name in sep.box])
-    B, n = Y.shape
-    W0 = np.array(np.broadcast_to(np.asarray(w0, dtype=float), (B, 2)))
+    lo, (B, n) = np.array([_ranges(t)[name][0] for name in sep.box])[:, None], Y.shape
+    W0 = np.array(np.broadcast_to(np.asarray(w0, dtype=float), (B, 2))).T
     with np.errstate(all="ignore"):
-        S, gram = evaluate(W0, Y)
-        W_out, S_out, nfev_out = W0.copy(), S.copy(), np.full(B, 3)
-        certified = np.zeros(B, dtype=bool)
-        d0, d1 = (np.where(g > 0.0, np.sqrt(g), 1.0) for g in (gram[0], gram[2]))
+        E = evaluate(W0, Y)
+        d = np.where(E[4::4] > 0.0, np.sqrt(E[4::4]), 1.0)
         # lmdif iterates x = w - w0 + 100 (``_lmdif``): its radius and xtol scale with ||D x||
-        xnorm = np.hypot(d0 * 100.0, d1 * 100.0)
-        # ``first``: no step accepted yet (lmdif's iter == 1), the radius follows the step
-        delta, par, first = 100.0 * xnorm, np.zeros(B), np.ones(B, dtype=bool)
-        state = [np.arange(B), Y, W0, W0, S, *gram, d0, d1, xnorm, delta, par, first, nfev_out]
-        keep = np.isfinite(S) & inside(W0)
+        xnorm = np.hypot(*(100.0 * d))
+        # a row per field: 0 the row's index, 1-2 W, 3-11 ``evaluate``'s products (3 SSE,
+        # 4-5 J'r, 7 and 11 J'J's diagonal, 8 its off-diagonal), 12 xnorm, 13 first (no step
+        # accepted yet: the radius follows the step), 14-15 W0, 16-17 D, 18 delta, 19 par, 20 nfev
+        X = np.vstack([np.arange(B), W0, E, xnorm, np.ones(B), W0, d, 100.0 * xnorm,
+                       np.zeros(B), np.full(B, 3.0)])
+        out, certified = X[[1, 2, 3, 20]], np.zeros(B, dtype=bool)
+        keep = np.isfinite(E[0]) & inside(W0)
+        X, Yr = X[:, keep], Y[keep]
         for _ in range(_BATCH_MAX_ITER):
-            state = [a[keep] for a in state]
-            rows, Yr, W, W0, S, g00, g01, g11, b0, b1, d0, d1, xnorm, delta, par, first, nfev = state
-            if not len(rows):
+            if not len(Yr):
                 break
-            fnorm = np.sqrt(S)
-            c0, c1 = np.sqrt(g00), np.sqrt(g11)
-            d0, d1 = np.maximum(d0, c0), np.maximum(d1, c1)
+            W, S, b, gd, xnorm, first, W0, d, delta = (
+                X[1:3], X[3], X[4:6], X[7:12:4], X[12], X[13], X[14:16], X[16:18], X[18])
+            sq = np.sqrt(X[3:12:4])  # ||r||, and the column norms of J
+            np.maximum(d, sq[1:], out=d)
             # gtol: the cosine of each column with the residual is at most 1e-12
-            gtol = 1e-12 * fnorm
-            stop_g = (np.abs(b0) <= gtol * c0) & (np.abs(b1) <= gtol * c1)
-            par, p0, p1 = _lmpar(g00, g01, g11, b0, b1, d0, d1, delta, par)
-            pnorm = np.hypot(d0 * p0, d1 * p1)
-            delta = np.where(first, np.minimum(delta, pnorm), delta)
-            Wt = W + np.stack([p0, p1], axis=-1)
-            St, gram_t = evaluate(Wt, Yr)
-            nfev = nfev + 3
-            fnorm1 = np.sqrt(St)
-            actred = np.where(0.1 * fnorm1 < fnorm, 1.0 - St / S, -1.0)
-            t1 = (g00 * p0 * p0 + 2.0 * g01 * p0 * p1 + g11 * p1 * p1) / S
-            t2 = par * pnorm * pnorm / S
-            prered, dirder = t1 + 2.0 * t2, -(t1 + t2)
+            stop_g = np.logical_and(*(np.abs(b) <= 1e-12 * sq[0] * sq[1:]))
+            par, p = _lmpar(gd, X[8], b, d, delta, X[19])
+            pnorm = np.hypot(*(d * p))
+            np.minimum(delta, pnorm, out=delta, where=first > 0.0)
+            Wt = W + p
+            Et = evaluate(Wt, Yr)
+            fnorm1 = 0.1 * np.sqrt(Et[0])
+            actred = np.where(fnorm1 < sq[0], 1.0 - Et[0] / S, -1.0)
+            pGp = p * (gd * p + X[8] * p[::-1])
+            t1, t2 = pGp[0] + pGp[1], par * pnorm * pnorm  # ||J p||^2 and par ||D p||^2
+            prered, dirder = (t1 + 2.0 * t2) / S, (t1 + t2) / -S
             ratio = np.where(prered != 0.0, actred / prered, 0.0)
             shrink = np.where(actred >= 0.0, 0.5, 0.5 * dirder / (dirder + 0.5 * actred))
-            shrink = np.where((0.1 * fnorm1 >= fnorm) | (shrink < 0.1), 0.1, shrink)
-            grow = (par == 0.0) | (ratio >= 0.75)
-            low = ratio <= 0.25
-            delta = np.where(low, shrink * np.minimum(delta, pnorm / 0.1),
-                             np.where(grow, pnorm / 0.5, delta))
-            par = np.where(low, par / shrink, np.where(grow, 0.5 * par, par))
-            ok = (ratio >= 1e-4) & ~stop_g
-            left = ok & ~inside(Wt)
-            ok &= ~left
-            W = np.where(ok[:, None], Wt, W)
-            S = np.where(ok, St, S)
-            g00, g01, g11, b0, b1 = (np.where(ok, a, b) for a, b in zip(gram_t, (g00, g01, g11, b0, b1)))
-            xnorm = np.where(ok, np.hypot(d0 * (W[:, 0] - W0[:, 0] + 100.0),
-                                          d1 * (W[:, 1] - W0[:, 1] + 100.0)), xnorm)
-            first &= ~ok
+            # a low ratio shrinks the radius by f; a high one (or par = 0) sets it to 2 ||D p||, par / 2
+            low, grow = ratio <= 0.25, (par == 0.0) | (ratio >= 0.75)
+            f = np.where(low, np.where(fnorm1 >= sq[0], 0.1, np.maximum(shrink, 0.1)), grow + 1.0)
+            np.multiply(f, np.where(low, np.minimum(delta, pnorm / 0.1), np.where(grow, pnorm, delta)),
+                        out=delta)
+            np.divide(par, f, out=X[19])
+            ok, inner = (ratio >= 1e-4) & ~stop_g, inside(Wt)
+            left, ok = ok & ~inner, ok & inner
+            # an accepted step moves W, its products and xnorm, and clears first
+            xt = np.hypot(*(d * (Wt - W0 + 100.0)))
+            np.copyto(X[1:13], np.concatenate([Wt, Et, xt[None]]), where=ok)
+            first[ok] = 0.0
+            X[20] += 3.0
             stop_f = (np.abs(actred) <= SOLVE_FTOL) & (prered <= SOLVE_FTOL) & (ratio <= 2.0)
             done = stop_g | (~left & (stop_f | (delta <= 1e-12 * xnorm)))
-            W_out[rows], S_out[rows], nfev_out[rows] = W, S, nfev
-            certified[rows[done]] = True
-            keep = ~(done | left | ~np.isfinite(pnorm))
-            state = [rows, Yr, W, W0, S, g00, g01, g11, b0, b1, d0, d1, xnorm, delta, par, first, nfev]
-        scale = np.maximum(1.0, np.abs(Y).max(axis=-1))
-        certified &= S_out / n >= (1e-8 * scale) ** 2
-    return W_out, S_out, nfev_out, certified
+            keep = np.isfinite(pnorm) & ~(done | left)
+            if not keep.all():
+                rows = X[0].astype(int)
+                out[:, rows], certified[rows[done]] = X[[1, 2, 3, 20]], True
+                X, Yr = X[:, keep], Yr[keep]
+        out[:, X[0].astype(int)] = X[[1, 2, 3, 20]]  # the rows active after the last step
+        certified &= out[2] / n >= (1e-8 * np.maximum(1.0, np.abs(Y).max(axis=-1))) ** 2
+    return np.ascontiguousarray(out[:2].T), out[2], out[3].astype(int), certified
 
 
 def _fit_cold_many(t: np.ndarray, Y: np.ndarray) -> tuple[list, dict[int, str]]:
@@ -1155,9 +1156,10 @@ def embedding_gradient(
 
     The default is unweighted OLS with a normal-theory CI (t quantiles with
     n-2 dof, since the error variance is estimated). With ``weighted=True``
-    (requires per-cohort ``se``), a fixed-effects 1/se^2-weighted regression
-    is used, the slope variance comes from (X'WX)^-1 directly, and the CI
-    uses normal quantiles (variances treated as known).
+    (requires per-cohort ``se``, each finite and > 0; ValidationError
+    otherwise), a fixed-effects 1/se^2-weighted regression is used, the
+    slope variance comes from (X'WX)^-1 directly, and the CI uses normal
+    quantiles (variances treated as known).
     """
     e = np.asarray(e, dtype=float)
     b = np.asarray(beta_hat, dtype=float)
@@ -1169,7 +1171,10 @@ def embedding_gradient(
     if weighted:
         if se is None:
             raise ValidationError("weighted=True requires per-cohort se")
-        wgt = 1.0 / np.asarray(se, dtype=float) ** 2
+        se = np.asarray(se, dtype=float)
+        if se.shape != e.shape or not np.all(np.isfinite(se) & (se > 0.0)):
+            raise ValidationError("weighted=True needs one finite se > 0 per cohort")
+        wgt = 1.0 / se**2
         xtwx = X.T @ (X * wgt[:, None])
         coef = np.linalg.solve(xtwx, X.T @ (wgt * b))
         var_slope = float(np.linalg.inv(xtwx)[1, 1])

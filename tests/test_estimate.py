@@ -509,6 +509,179 @@ def prepost_per_replicate(series, spec, n_boot, seed, level=0.95):
     )
 
 
+# The batched Levenberg-Marquardt as it was before its state was packed into
+# one array, its sums became einsums and lmpar's iteration moved to the
+# eigenbasis: kept verbatim as the oracle of ``estimate._polish_many``.
+
+
+def lmpar_reference(g00, g01, g11, b0, b1, d0, d1, delta, par):
+    """MINPACK's lmpar for two coordinates, elementwise over rows.
+
+    From J'J = [[g00, g01], [g01, g11]], J'f = (b0, b1), the scaling
+    diagonal (d0, d1), the trust radius ``delta`` and the previous ``par``:
+    the Levenberg-Marquardt parameter par >= 0 and the step
+    p = -(J'J + par*D^2)^-1 J'f with ||D p|| within 10% of delta, or par = 0
+    and the Gauss-Newton step when that is no longer than 1.1*delta. The 2x2
+    systems are solved in closed form; a singular J'J takes its Gauss-Newton
+    step along its longer column alone, as MINPACK's pivoted QR does.
+    Returns (par, p0, p1).
+    """
+
+    def solve(m00, m11):
+        det = m00 * m11 - g01 * g01
+        return (g01 * b1 - m11 * b0) / det, (g01 * b0 - m00 * b1) / det, det
+
+    def q_norm2(p0, p1, dxnorm, m00, m11, det):
+        # ||R^-T D^2 p|| squared, D^2 p normalised by ||D p||
+        q0, q1 = d0 * d0 * p0 / dxnorm, d1 * d1 * p1 / dxnorm
+        return (m11 * q0 * q0 - 2.0 * g01 * q0 * q1 + m00 * q1 * q1) / det
+
+    p0, p1, det = solve(g00, g11)
+    full = det > 0.0
+    if not full.all():
+        first = g00 >= g11
+        p0 = np.where(full, p0, np.where(first & (g00 > 0.0), -b0 / g00, 0.0))
+        p1 = np.where(full, p1, np.where(~first & (g11 > 0.0), -b1 / g11, 0.0))
+    dxnorm = np.hypot(d0 * p0, d1 * p1)
+    fp = dxnorm - delta
+    live = fp > 0.1 * delta
+    if not live.any():
+        return np.zeros_like(par), p0, p1
+    parl = np.where(full, fp / delta / q_norm2(p0, p1, dxnorm, g00, g11, det), 0.0)
+    gnorm = np.hypot(b0 / d0, b1 / d1)
+    paru = gnorm / delta
+    paru = np.where(paru == 0.0, np.finfo(float).tiny / np.minimum(delta, 0.1), paru)
+    par = np.minimum(np.maximum(par, parl), paru)
+    par = np.where(live, np.where(par == 0.0, gnorm / dxnorm, par), 0.0)
+    for it in range(10):
+        par = np.where(live & (par == 0.0), np.maximum(np.finfo(float).tiny, 0.001 * paru), par)
+        m00, m11 = g00 + par * d0 * d0, g11 + par * d1 * d1
+        q0, q1, det = solve(m00, m11)
+        p0, p1 = np.where(live, q0, p0), np.where(live, q1, p1)
+        dxnorm = np.hypot(d0 * p0, d1 * p1)
+        last, fp = fp, np.where(live, dxnorm - delta, fp)
+        live &= ~((np.abs(fp) <= 0.1 * delta) | ((parl == 0.0) & (fp <= last) & (last < 0.0)))
+        if it == 9 or not live.any():
+            break
+        parc = fp / delta / q_norm2(p0, p1, dxnorm, m00, m11, det)
+        parl = np.where(live & (fp > 0.0), np.maximum(parl, par), parl)
+        paru = np.where(live & (fp < 0.0), np.minimum(paru, par), paru)
+        par = np.where(live, np.maximum(parl, par + parc), par)
+    return par, p0, p1
+
+
+def polish_many_reference(sep: estimate._Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, floored: bool = True):
+    """Levenberg-Marquardt polish of the coordinates of every row of ``Y``
+    (shape (B, n), one series per row on the times ``t``) from ``w0``, one
+    start per row (shape (B, 2)) or one for all (shape (2,)), for a family of
+    two coordinates and one or two amplitudes: the package's one batched LM.
+
+    It follows MINPACK's lmdif (Moré 1978, *LNM* 630:105) with ``_lmdif``'s
+    tolerances: column-norm scaling, a trust radius with ``_lmpar``'s
+    parameter, the 0.25/0.75 ratio rules, and the ftol (SOLVE_FTOL), xtol
+    (1e-12, on ``_lmdif``'s shifted coordinates) and gtol (1e-12) tests.
+    Each row's Jacobian of the projected residual is taken by forward
+    differences with lmdif's step, and each trial point and its two
+    difference neighbours are evaluated in one call, so an accepted step has
+    its Jacobian ready. Every operation is elementwise or a sum along a row:
+    a row's numbers do not depend on the other rows of the batch, and
+    nothing raises.
+
+    A row is certified when it meets one of the three tests. It is left
+    uncertified when it is still active after ``_BATCH_MAX_ITER`` trial
+    steps, when its SSE or step is not finite, when it is fitted exactly
+    (where ``fit_nls`` may raise SingularJacobian), and, when ``floored``,
+    when its start or an accepted step has a coordinate below the start
+    grid's box: there the two-component column ``1 - exp(-beta*t)`` loses
+    its digits as beta -> 0 and the data do not identify the rate (the
+    cone's ``expm1`` columns stay exact, so it is not floored). Returns (W,
+    SSE, evaluations, certified), shapes (B, 2), (B,), (B,) and (B,).
+    """
+    h = 1.4901161193847656e-06  # lmdif's difference step at x = 100
+    neighbours = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])[:, None, :]
+
+    def evaluate(W, Yr):
+        """SSE and J0'J0, J0'J1, J1'J1, J0'r, J1'r at each row of W."""
+        m = len(W)
+        Y3 = np.concatenate([Yr, Yr, Yr])
+        A = sep.design((W + neighbours).reshape(3 * m, 2), t)
+        G = [[(a * c).sum(axis=-1) for c in A] for a in A]
+        c = estimate._amplitudes(G, [(a * Y3).sum(axis=-1) for a in A], sep.nonneg, np.where)[0]
+        R = -Y3
+        for ci, a in zip(c, A):
+            R = R + ci[:, None] * a
+        r, J0, J1 = R[:m], (R[m : 2 * m] - R[:m]) / h, (R[2 * m :] - R[:m]) / h
+        return (r * r).sum(axis=-1), [(J0 * J0).sum(axis=-1), (J0 * J1).sum(axis=-1),
+                                      (J1 * J1).sum(axis=-1), (J0 * r).sum(axis=-1),
+                                      (J1 * r).sum(axis=-1)]
+
+    def inside(W):
+        return (W >= lo).all(axis=-1) if floored else np.ones(len(W), dtype=bool)
+
+    lo = np.array([estimate._ranges(t)[name][0] for name in sep.box])
+    B, n = Y.shape
+    W0 = np.array(np.broadcast_to(np.asarray(w0, dtype=float), (B, 2)))
+    with np.errstate(all="ignore"):
+        S, gram = evaluate(W0, Y)
+        W_out, S_out, nfev_out = W0.copy(), S.copy(), np.full(B, 3)
+        certified = np.zeros(B, dtype=bool)
+        d0, d1 = (np.where(g > 0.0, np.sqrt(g), 1.0) for g in (gram[0], gram[2]))
+        # lmdif iterates x = w - w0 + 100 (``_lmdif``): its radius and xtol scale with ||D x||
+        xnorm = np.hypot(d0 * 100.0, d1 * 100.0)
+        # ``first``: no step accepted yet (lmdif's iter == 1), the radius follows the step
+        delta, par, first = 100.0 * xnorm, np.zeros(B), np.ones(B, dtype=bool)
+        state = [np.arange(B), Y, W0, W0, S, *gram, d0, d1, xnorm, delta, par, first, nfev_out]
+        keep = np.isfinite(S) & inside(W0)
+        for _ in range(estimate._BATCH_MAX_ITER):
+            state = [a[keep] for a in state]
+            rows, Yr, W, W0, S, g00, g01, g11, b0, b1, d0, d1, xnorm, delta, par, first, nfev = state
+            if not len(rows):
+                break
+            fnorm = np.sqrt(S)
+            c0, c1 = np.sqrt(g00), np.sqrt(g11)
+            d0, d1 = np.maximum(d0, c0), np.maximum(d1, c1)
+            # gtol: the cosine of each column with the residual is at most 1e-12
+            gtol = 1e-12 * fnorm
+            stop_g = (np.abs(b0) <= gtol * c0) & (np.abs(b1) <= gtol * c1)
+            par, p0, p1 = lmpar_reference(g00, g01, g11, b0, b1, d0, d1, delta, par)
+            pnorm = np.hypot(d0 * p0, d1 * p1)
+            delta = np.where(first, np.minimum(delta, pnorm), delta)
+            Wt = W + np.stack([p0, p1], axis=-1)
+            St, gram_t = evaluate(Wt, Yr)
+            nfev = nfev + 3
+            fnorm1 = np.sqrt(St)
+            actred = np.where(0.1 * fnorm1 < fnorm, 1.0 - St / S, -1.0)
+            t1 = (g00 * p0 * p0 + 2.0 * g01 * p0 * p1 + g11 * p1 * p1) / S
+            t2 = par * pnorm * pnorm / S
+            prered, dirder = t1 + 2.0 * t2, -(t1 + t2)
+            ratio = np.where(prered != 0.0, actred / prered, 0.0)
+            shrink = np.where(actred >= 0.0, 0.5, 0.5 * dirder / (dirder + 0.5 * actred))
+            shrink = np.where((0.1 * fnorm1 >= fnorm) | (shrink < 0.1), 0.1, shrink)
+            grow = (par == 0.0) | (ratio >= 0.75)
+            low = ratio <= 0.25
+            delta = np.where(low, shrink * np.minimum(delta, pnorm / 0.1),
+                             np.where(grow, pnorm / 0.5, delta))
+            par = np.where(low, par / shrink, np.where(grow, 0.5 * par, par))
+            ok = (ratio >= 1e-4) & ~stop_g
+            left = ok & ~inside(Wt)
+            ok &= ~left
+            W = np.where(ok[:, None], Wt, W)
+            S = np.where(ok, St, S)
+            g00, g01, g11, b0, b1 = (np.where(ok, a, b) for a, b in zip(gram_t, (g00, g01, g11, b0, b1)))
+            xnorm = np.where(ok, np.hypot(d0 * (W[:, 0] - W0[:, 0] + 100.0),
+                                          d1 * (W[:, 1] - W0[:, 1] + 100.0)), xnorm)
+            first &= ~ok
+            stop_f = (np.abs(actred) <= estimate.SOLVE_FTOL) & (prered <= estimate.SOLVE_FTOL) & (ratio <= 2.0)
+            done = stop_g | (~left & (stop_f | (delta <= 1e-12 * xnorm)))
+            W_out[rows], S_out[rows], nfev_out[rows] = W, S, nfev
+            certified[rows[done]] = True
+            keep = ~(done | left | ~np.isfinite(pnorm))
+            state = [rows, Yr, W, W0, S, g00, g01, g11, b0, b1, d0, d1, xnorm, delta, par, first, nfev]
+        scale = np.maximum(1.0, np.abs(Y).max(axis=-1))
+        certified &= S_out / n >= (1e-8 * scale) ** 2
+    return W_out, S_out, nfev_out, certified
+
+
 class TestPolishMany:
     SEP = estimate._SEPARABLE[Family.TWO_COMP]
 
@@ -622,6 +795,124 @@ class TestPolishMany:
         assert fallbacks["fit_nls"] <= 0.2 * rows
         assert fallbacks["_monotone_sse"] <= 0.1 * cone_rows
 
+    def test_matches_the_reference(self, monkeypatch):
+        # the batches of seeded pre/post bootstraps (warm), and of cold free
+        # and cone fits of trough and boundary series, against the verbatim
+        # reference. The reference sums in another order, so rounding can send
+        # a row along another path: a start on the cone's flat alpha = beta
+        # or beta -> 0 limit may stop elsewhere on it, with another SSE. The
+        # callers keep each series' least SSE over its starts, so cold and
+        # cone SSEs are compared per series. W agrees to the resolution of the
+        # ftol stop (a step with ||J p||^2 <= 1e-12 SSE), at most ~3e-6 here.
+        batches, polish = [], estimate._polish_many
+
+        def captured(sep, t, Y, w0, floored=True):
+            batches.append((sep, t, Y, w0, floored))
+            return polish(sep, t, Y, w0, floored)
+
+        monkeypatch.setattr(estimate, "_polish_many", captured)
+        for s in range(4):
+            ak.prepost_delta_beta(prepost_series(0.05, 0.10, 0.01, seed=s), WindowSpec(15.0), n_boot=100, seed=(63, s))
+        warm = len(batches)
+        for depth, n, s in itertools.product([0.0, 0.2, 0.4], [21, 41], range(2)):
+            t = np.linspace(0.0, 20.0, n)
+            noise = np.random.default_rng((62, n, s, int(10 * depth))).standard_normal((20, n))
+            Y = ak.eval_curve(simgen.theta_for_depth(depth), t) + 0.05 * noise
+            fits = estimate._fit_cold_many(t, Y)[0]
+            free = [i for i, fit in enumerate(fits) if not curves.monotone_condition(fit.theta_two_comp())]
+            estimate._monotone_sse_many(t, Y[free], [fits[i].theta_two_comp() for i in free])
+        monkeypatch.undo()
+        flags = {"warm": [0, 0], "cold": [0, 0], "cone": [0, 0]}
+        for k, (sep, t, Y, w0, floored) in enumerate(batches):
+            kind = "warm" if k < warm else "cone" if sep is estimate._MONOTONE_CONE else "cold"
+            (W, S, _, ok), (Wr, Sr, _, okr) = (f(sep, t, Y, w0, floored) for f in (polish, polish_many_reference))
+            flags[kind][0] += int((ok != okr).sum())
+            flags[kind][1] += len(ok)
+            if kind == "warm":
+                both = ok & okr
+                assert S[both] == pytest.approx(Sr[both], rel=1e-12, abs=0.0)
+                assert np.abs(W - Wr)[both].max(initial=0.0) <= 1e-5
+                continue
+            # series by row: the cold batch is both sides, the cone batch three starts per series
+            split = (lambda a: a.reshape(2, -1).T) if kind == "cold" else (lambda a: a.reshape(-1, 3))
+            both = split(ok).all(axis=1) & split(okr).all(axis=1)
+            assert split(S).min(axis=1)[both] == pytest.approx(split(Sr).min(axis=1)[both], rel=1e-12, abs=0.0)
+        for kind, (differ, rows) in flags.items():
+            assert rows >= 400 and differ <= 0.01 * rows, kind
+
+
+class TestLmpar:
+    """``estimate._lmpar`` against the contract of MINPACK's lmpar."""
+
+    row = st.tuples(
+        st.floats(-4.0, 4.0),  # log10 of J'J's larger eigenvalue
+        st.floats(0.0, 8.0),  # log10 of its condition number
+        st.floats(0.0, math.pi),  # the angle of its eigenvectors
+        st.floats(0.0, 2.0 * math.pi),  # the direction of J'f
+        st.floats(-4.0, 4.0),  # log10 ||J'f||
+        st.floats(-2.0, 2.0),  # log10 d0
+        st.floats(-2.0, 2.0),  # log10 d1
+        st.floats(-3.0, 1.0),  # log10 of delta over the Gauss-Newton step's ||D p||
+        st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(lambda x: 10.0**x)),  # the previous par
+    )
+
+    @staticmethod
+    def systems(rows):
+        """J'J (shape (m, 2, 2)), J'f, D, delta and the previous par of ``rows``."""
+        big, cond, angle, direction, size, d0, d1, radius, par = np.array(rows).T
+        c, s = np.cos(angle), np.sin(angle)
+        V = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
+        lam = np.array([10.0**big / 10.0**cond, 10.0**big]).T
+        JtJ = V @ (lam[:, :, None] * V.transpose(0, 2, 1))
+        JtJ = 0.5 * (JtJ + JtJ.transpose(0, 2, 1))
+        Jf = 10.0**size * np.array([np.cos(direction), np.sin(direction)])
+        d = 10.0 ** np.array([d0, d1])
+        newton = -np.linalg.solve(JtJ, Jf.T[..., None])[..., 0].T
+        delta = np.hypot(*(d * newton)) * 10.0**radius
+        return JtJ, Jf, d, delta, par, np.hypot(*(d * newton))
+
+    @staticmethod
+    def lmpar(JtJ, Jf, d, delta, par):
+        with np.errstate(all="ignore"):
+            return estimate._lmpar(np.array([JtJ[:, 0, 0], JtJ[:, 1, 1]]), JtJ[:, 0, 1], Jf, d, delta, par)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(row, min_size=1, max_size=6))
+    def test_contract(self, rows):
+        JtJ, Jf, d, delta, par0, newton = self.systems(rows)
+        par, p = self.lmpar(JtJ, Jf, d, delta, par0)
+        assert (par >= 0.0).all()
+        # par = 0 exactly when the Gauss-Newton step is no longer than 1.1 delta
+        # (to the rounding of the two solves of that step)
+        clear = np.abs(newton / (1.1 * delta) - 1.0) > 1e-6
+        assert ((par == 0.0) == (newton <= 1.1 * delta))[clear].all()
+        length = np.hypot(*(d * p))
+        assert (np.abs(length - delta) <= 0.1 * delta)[par > 0.0].all()
+        # p solves (J'J + par D^2) p = -J'f, backward-stable to 1e-9: the
+        # residual relative to ||J'J + par D^2|| ||p|| + ||J'f||
+        M = JtJ + par[:, None, None] * (d.T[:, :, None] ** 2 * np.eye(2))
+        residual = np.hypot(*(np.einsum("mij,jm->im", M, p) + Jf))
+        assert (residual <= 1e-9 * (np.linalg.norm(M, 2, axis=(1, 2)) * np.hypot(*p) + np.hypot(*Jf))).all()
+        # each row's bytes do not depend on its batch
+        for i in range(len(rows)):
+            alone = self.lmpar(JtJ[i : i + 1], Jf[:, i : i + 1], d[:, i : i + 1], delta[i : i + 1], par0[i : i + 1])
+            assert alone[0].tobytes() == par[i : i + 1].tobytes()
+            assert alone[1].tobytes() == np.ascontiguousarray(p[:, i : i + 1]).tobytes()
+
+    def test_badly_scaled_system(self):
+        # a cold row of a seeded Monte-Carlo batch: beta's column has norm
+        # 2e-9 against its scale 0.26, so H = D^-1 J'J D^-1 has a condition
+        # number ~1e17, and its small eigenvalue must come from det(J'J)
+        g00, g01, g11 = 0.6755348136560365, -1.7386298600818861e-09, 4.996003610813204e-18
+        b0, b1, d0, d1 = 0.017577217523206262, -1.3131874533190052e-10, 1.0212688637777552, 0.2556351248323003
+        delta, par0 = np.array([0.338242823773705]), np.array([0.008643474897825862])
+        JtJ, Jf, d = np.array([[[g00, g01], [g01, g11]]]), np.array([[b0], [b1]]), np.array([[d0], [d1]])
+        par, p = self.lmpar(JtJ, Jf, d, delta, par0)
+        assert abs(np.hypot(*(d * p))[0] - delta[0]) <= 0.1 * delta[0]
+        reference = lmpar_reference(*(np.array([x]) for x in (g00, g01, g11, b0, b1, d0, d1)), delta, par0)
+        assert par == pytest.approx(reference[0], rel=1e-6)
+        assert p[:, 0] == pytest.approx(np.ravel(reference[1:]), rel=1e-6)
+
 
 class TestProfileCi:
     THETA = ThetaTwoComp(3.0, 0.8, 2.0, 0.25)
@@ -709,6 +1000,18 @@ class TestEmbeddingGradient:
         w = ak.embedding_gradient(e, b, se=[0.01] * 3, weighted=True)
         u = ak.embedding_gradient(e, b)
         assert w.slope == pytest.approx(u.slope, rel=1e-9)
+
+    @pytest.mark.parametrize("se", [
+        [0.01, 0.0, 0.02],  # a zero se would be an infinite weight
+        [0.01, -0.02, 0.02],  # a negative se would be squared away
+        [0.01, float("nan"), 0.02],  # a NaN se would give a NaN slope
+        [0.01, float("inf"), 0.02],
+        [0.01, 0.02],  # one se per cohort
+    ], ids=["zero", "negative", "nan", "inf", "length"])
+    def test_weighted_rejects_bad_se(self, se):
+        rows = datasets.cohorts()
+        with pytest.raises(ValidationError, match="se"):
+            ak.embedding_gradient([c.e for c in rows], [c.beta_hat for c in rows], se=se, weighted=True)
 
     def test_monte_carlo_recovery(self):
         # cohorts simulated around a known gradient; the CI covers the truth
