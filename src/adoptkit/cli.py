@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -306,7 +307,10 @@ def cmd_pilot(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use (a few ms) and shared by every
+    later call: parsing does not change it, and callers must not either."""
     parser = argparse.ArgumentParser(
         prog="adoptkit",
         description="Two-component adoption curves: fitting, phase analysis, "

@@ -159,7 +159,7 @@ def _check_times(t):
 def _eval_values(family: Family, values, t):
     if family == Family.TWO_COMP:
         n0, alpha, umax, beta = values
-        return n0 * np.exp(-alpha * t) + umax * (1.0 - np.exp(-beta * t))
+        return n0 * np.exp(-alpha * t) - umax * np.expm1(-beta * t)
     if family == Family.LOGISTIC:
         k, c, g = values
         return k / (1.0 + c * np.exp(-g * t))

@@ -199,9 +199,10 @@ class _MonotoneCone(_Separable):
     """The nondecreasing two-component curves (alpha >= beta): amplitudes
     >= 0 times u = (1 - exp(-beta*t))/beta and exp(-alpha*t) + alpha*u (the
     rays n0 = 0 and alpha*n0 = beta*umax, over beta) at w = (log beta,
-    log(alpha - beta)). The limits keep finite columns, to rounding at the
-    clip w = -40: t and exp(-alpha*t) + alpha*t as beta -> 0 (a deep
-    trough's infimum), u and 1 as alpha -> beta."""
+    log(alpha - beta)). Like the free family's columns, u is taken by
+    ``expm1``, so the limits keep finite, exact columns at the clip w = -40:
+    t and exp(-alpha*t) + alpha*t as beta -> 0 (a deep trough's infimum),
+    u and 1 as alpha -> beta."""
 
     def design(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
         beta, gap = self.params(w).T[..., None] if w.ndim > 1 else self.params(w).tolist()
@@ -385,8 +386,8 @@ def _cone_starts(theta: ThetaTwoComp, W: np.ndarray, val: np.ndarray) -> list[np
 def _monotone_sse_many(t: np.ndarray, Y: np.ndarray, thetas: list[ThetaTwoComp]):
     """``_monotone_sse`` of each row of ``Y`` (shape (B, n)) and its free
     fit ``thetas[i]``, as one batch. All rows' starts are polished by one
-    ``_polish_many`` over the cone, not floored: its columns stay exact at
-    the clip limits. A row with every start certified gets the least
+    ``_polish_many`` over the cone, whose columns stay exact at the clip
+    limits. A row with every start certified gets the least
     SSE; the others go to ``_monotone_sse``. Returns (SSE, {row: exception
     class name} of the rows that raised)."""
     B = len(Y)
@@ -394,7 +395,7 @@ def _monotone_sse_many(t: np.ndarray, Y: np.ndarray, thetas: list[ThetaTwoComp])
     starts = [_cone_starts(theta, W, val[:, i]) for i, theta in enumerate(thetas)]
     # a grid with a single local minimum repeats it, which changes no minimum
     starts = np.array([s + s[-1:] * (3 - len(s)) for s in starts]).reshape(3 * B, 2)
-    _, S, _, certified = _polish_many(_MONOTONE_CONE, t, np.repeat(Y, 3, axis=0), starts, floored=False)
+    _, S, _, certified = _polish_many(_MONOTONE_CONE, t, np.repeat(Y, 3, axis=0), starts)
     sse, certified = S.reshape(B, 3).min(axis=1), certified.reshape(B, 3).all(axis=1)
     errors = {}
     for i in np.flatnonzero(~certified):
@@ -462,7 +463,9 @@ def fit_nls(
     covariance, ``cov_unreliable``) rather than failing, except when the fit
     is also exact to machine precision (e.g. a constant series), which raises
     SingularJacobian: such data admit a continuum of perfect fits. Raises
-    InsufficientData or NonConvergence (iteration budget exhausted).
+    InsufficientData, NonConvergence (iteration budget exhausted), or
+    ValidationError for an ``init`` that is not finite or has a parameter
+    iterated on the log scale at or below 0.
     """
     family = Family(family)
     k = curves.family_arity(family)
@@ -470,11 +473,16 @@ def fit_nls(
     n = len(series)
     if n < k + 1:
         raise InsufficientData(f"need at least {k + 1} points for {family.value}, got {n}")
-    if init is not None and len(init) != k:
-        raise ValidationError(f"init must have length {k}")
-
-    sep = _SEPARABLE[family]
-    starts = None if init is None else [sep.coords(_canonical(family, np.asarray(init, dtype=float)))]
+    sep, starts = _SEPARABLE[family], None
+    if init is not None:
+        init = np.asarray(init, dtype=float)
+        if init.shape != (k,):
+            raise ValidationError(f"init must have length {k}")
+        logs = np.array(sep.nonlinear)[sep.logs]
+        if not np.isfinite(init).all() or (init[logs] <= 0.0).any():
+            names = ", ".join(curves.FAMILY_PARAMS[family][i] for i in logs)
+            raise ValidationError(f"init must be finite with {names} > 0, got {init.tolist()}")
+        starts = [sep.coords(_canonical(family, init))]
     res = _fit_coords(sep, t, y, starts, max_iter * (k + 1))
     if family == Family.DOUBLE_EXP:
         theta, degenerate = _double_exp_edge(sep, t, y, res.x)
@@ -624,7 +632,7 @@ def _lmpar(gd, g01, b, d, delta, par):
     return par, np.where(stepped, solve(gd + par * d * d)[0], p)
 
 
-def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, floored: bool = True):
+def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray):
     """Levenberg-Marquardt polish of the 2 coordinates of each row of ``Y``
     (shape (B, n), a series per row on the times ``t``) from ``w0`` (shape
     (B, 2), or (2,) for all), for a family with one or two amplitudes: the
@@ -641,12 +649,10 @@ def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, 
 
     A row is certified when it meets one of the three tests; it is not when
     it is still active after ``_BATCH_MAX_ITER`` trial steps, when its SSE or
-    step is not finite, when it is fitted exactly (``fit_nls`` may raise
-    SingularJacobian there), or, if ``floored``, when its start or an accepted
-    step has a coordinate below the start grid's box, where
-    ``1 - exp(-beta*t)`` loses its digits as beta -> 0 and the data do not
-    identify the rate (the cone's ``expm1`` columns stay exact). Returns (W,
-    SSE, evaluations, certified), shapes (B, 2), (B,), (B,) and (B,).
+    step is not finite, or when it is fitted exactly (``fit_nls`` may raise
+    SingularJacobian there). Every column is evaluated with ``expm1``, exact
+    as a rate goes to 0, so warm, cold and cone rows run one rule. Returns
+    (W, SSE, evaluations, certified), shapes (B, 2), (B,), (B,) and (B,).
     """
     h = 1.4901161193847656e-06  # lmdif's difference step at x = 100
     neighbours = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])[:, None, :]
@@ -662,10 +668,7 @@ def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, 
         R[1:] /= h
         return np.einsum("imn,jmn->ijm", R, R).reshape(9, m)
 
-    def inside(W):
-        return np.logical_and(*(W >= lo)) if floored else np.ones(W.shape[1], dtype=bool)
-
-    lo, (B, n) = np.array([_ranges(t)[name][0] for name in sep.box])[:, None], Y.shape
+    B, n = Y.shape
     W0 = np.array(np.broadcast_to(np.asarray(w0, dtype=float), (B, 2))).T
     with np.errstate(all="ignore"):
         E = evaluate(W0, Y)
@@ -678,7 +681,7 @@ def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, 
         X = np.vstack([np.arange(B), W0, E, xnorm, np.ones(B), W0, d, 100.0 * xnorm,
                        np.zeros(B), np.full(B, 3.0)])
         out, certified = X[[1, 2, 3, 20]], np.zeros(B, dtype=bool)
-        keep = np.isfinite(E[0]) & inside(W0)
+        keep = np.isfinite(E[0])
         X, Yr = X[:, keep], Y[keep]
         for _ in range(_BATCH_MAX_ITER):
             if not len(Yr):
@@ -707,16 +710,15 @@ def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, 
             np.multiply(f, np.where(low, np.minimum(delta, pnorm / 0.1), np.where(grow, pnorm, delta)),
                         out=delta)
             np.divide(par, f, out=X[19])
-            ok, inner = (ratio >= 1e-4) & ~stop_g, inside(Wt)
-            left, ok = ok & ~inner, ok & inner
+            ok = (ratio >= 1e-4) & ~stop_g
             # an accepted step moves W, its products and xnorm, and clears first
             xt = np.hypot(*(d * (Wt - W0 + 100.0)))
             np.copyto(X[1:13], np.concatenate([Wt, Et, xt[None]]), where=ok)
             first[ok] = 0.0
             X[20] += 3.0
             stop_f = (np.abs(actred) <= SOLVE_FTOL) & (prered <= SOLVE_FTOL) & (ratio <= 2.0)
-            done = stop_g | (~left & (stop_f | (delta <= 1e-12 * xnorm)))
-            keep = np.isfinite(pnorm) & ~(done | left)
+            done = stop_g | stop_f | (delta <= 1e-12 * xnorm)
+            keep = np.isfinite(pnorm) & ~done
             if not keep.all():
                 rows = X[0].astype(int)
                 out[:, rows], certified[rows[done]] = X[[1, 2, 3, 20]], True
@@ -980,10 +982,13 @@ def prepost_delta_beta(
     ``post_cov_unreliable`` flag a window whose own fit did not converge or
     has an unreliable covariance. Deterministic given (inputs, seed), and
     independent of the batch size. Raises ValidationError before any fit
-    when ``n_boot`` < 10, fewer replicates than the variance needs.
+    when ``n_boot`` < 10, fewer replicates than the variance needs, or when
+    ``block_len`` < 1.
     """
     if n_boot < 10:
         raise ValidationError(f"n_boot must be >= 10, got {n_boot}")
+    if block_len is not None and block_len < 1:
+        raise ValidationError(f"block_len must be >= 1, got {block_len}")
     w, pre_mask, post_mask, weekend_rule = _select_window(series, spec)
     pre = _window_series(series, pre_mask)
     post = _window_series(series, post_mask)
@@ -1003,7 +1008,7 @@ def prepost_delta_beta(
     m = len(resid)
     if block_len is None:
         block_len = int(math.ceil(m ** (1.0 / 3.0)))
-    block_len = max(1, min(block_len, m))
+    block_len = min(block_len, m)
     n_blocks = int(math.ceil(m / block_len))
     starts_max = m - block_len + 1
 

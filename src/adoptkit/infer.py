@@ -230,8 +230,11 @@ def shape_test(series: estimate.TimeSeries, n_boot: int = 1000, seed=0, window: 
     one-sided p for "too negative". Resampling scatters any contiguous dip,
     so the test keys on contiguity rather than on an explicit noise scale;
     the price is an elevated false-positive rate when the truth hugs the
-    monotone boundary (see the benchmark report for measured rates).
+    monotone boundary (see the benchmark report for measured rates). Raises
+    ValidationError when ``window`` or ``n_boot`` is below 1.
     """
+    if window < 1 or n_boot < 1:
+        raise ValidationError(f"window and n_boot must be >= 1, got {window} and {n_boot}")
     y = series.values
     if len(y) < max(8, window + 1):
         raise TooShort(f"need at least {max(8, window + 1)} points")

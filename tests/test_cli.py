@@ -3,6 +3,10 @@
 import csv
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +63,17 @@ class TestPhase:
         )
         assert payload["kind"] == "monotone_increase"
         assert payload["t_star"] is None
+
+    def test_commands_share_one_parser(self, capsys):
+        # in-process callers build the parser once; a command's flags do not
+        # leak into the next
+        cli.build_parser()
+        built = cli.build_parser.cache_info().misses
+        trough = ["phase", "--n0", "3", "--alpha", "0.8", "--umax", "2", "--beta", "0.25"]
+        first = run_json(capsys, trough)
+        assert run_json(capsys, ["phase", "--n0", "1", "--alpha", "0.8", "--umax", "5", "--beta", "0.3"])["t_star"] is None
+        assert run_json(capsys, trough) == first
+        assert cli.build_parser.cache_info().misses == built
 
 
 class TestFitAndCompare:
@@ -333,3 +348,31 @@ class TestCanonicalJson:
     def test_matrix_layout(self):
         out = json.loads(jsonio.dumps_canonical(np.arange(6.0).reshape(2, 3)))
         assert out == {"rows": 2, "cols": 3, "data": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}
+
+
+class TestBlasThreads:
+    """Output bytes do not depend on the BLAS thread count."""
+
+    AR1_CRLB = ["crlb", "--n0", "3", "--alpha", "0.8", "--umax", "2", "--beta", "0.25",
+                "--n-points", "1826", "--horizon", "1825", "--error-model", "ar1",
+                "--sigma", "0.05", "--rho", "0.3"]
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--data", "builtin:synthetic21"],
+        ["compare", "--data", "builtin:enterprise78"],
+        ["compare", "--data", "builtin:enterprise78raw"],
+        AR1_CRLB,
+    ], ids=["compare-synthetic21", "compare-enterprise78", "compare-enterprise78raw", "crlb-ar1-n1826"])
+    def test_one_and_two_threads_print_the_same_bytes(self, argv):
+        # each run in a fresh process: the thread count is read when numpy loads
+        src = str(Path(cli.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            runs.append(subprocess.Popen(
+                [sys.executable, "-c", "import sys; from adoptkit import cli; sys.exit(cli.main(sys.argv[1:]))",
+                 *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+        (one, err1), (two, err2) = (run.communicate(timeout=300) for run in runs)
+        assert [run.returncode for run in runs] == [0, 0], (err1, err2)
+        assert one and one == two

@@ -56,6 +56,15 @@ class TestFitNls:
         with pytest.raises((SingularJacobian, NonConvergence)):
             ak.fit_nls(series)
 
+    @pytest.mark.parametrize("init", [
+        [1.0, -0.5, 2.0, 0.1],  # a negative rate: was fit at alpha = 4e-18, converged=True
+        [1.0, 0.5, 2.0, math.inf],  # was NonConvergence, so the CLI exited 3
+        [math.nan, 0.5, 2.0, 0.1],  # was accepted
+    ])
+    def test_invalid_init_raises(self, init):
+        with pytest.raises(ValidationError, match="init"):
+            ak.fit_nls(datasets.synthetic21().series, init=init)
+
     def test_insufficient_data(self):
         series = TimeSeries([0.0, 1.0, 2.0], [1.0, 1.1, 1.3])
         with pytest.raises(InsufficientData):
@@ -355,6 +364,18 @@ class TestPrePost:
         with pytest.raises(ValidationError):
             ak.prepost_delta_beta(series, WindowSpec(intervention_time=15.0), n_boot=9)
 
+    @pytest.mark.parametrize("block_len", [0, -3])
+    def test_block_len_below_one_raises_before_fitting(self, monkeypatch, block_len):
+        # before: silently raised to 1
+        series = prepost_series(0.05, 0.10, 0.01, seed=2)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_nls called")
+
+        monkeypatch.setattr(estimate, "fit_nls", no_fit)
+        with pytest.raises(ValidationError, match="block_len"):
+            ak.prepost_delta_beta(series, WindowSpec(intervention_time=15.0), block_len=block_len, n_boot=20)
+
     def test_deterministic_given_seed(self):
         series = prepost_series(0.05, 0.10, 0.01, seed=2)
         spec = WindowSpec(intervention_time=15.0)
@@ -446,23 +467,39 @@ class TestPrePost:
                     assert np.sum((c @ A - y) ** 2) <= ref * (1.0 + 1e-5)
         assert certified >= 360
 
-    def test_flagged_window_fit_is_reported(self):
-        # the third series drawn from default_rng((2, 0)): its pre-window fit
-        # runs to the beta -> 0 edge (beta ~ 6e-15, umax ~ 1e13)
+    @staticmethod
+    def third_series(seed):
+        """The third series drawn from ``default_rng(seed)``, as the pre/post
+        Monte-Carlo workload draws them (sigma 0.01, beta 0.05 -> 0.10)."""
         t = np.arange(0.0, 31.0)
-        noise = np.random.default_rng((2, 0)).standard_normal((3, len(t)))[2]
+        noise = np.random.default_rng(seed).standard_normal((3, len(t)))[2]
         y = np.where(
             t < 15.5,
             ak.eval_curve(ThetaTwoComp(1.0, 0.5, 2.0, 0.05), np.maximum(t - 5.0, 0.0)),
             ak.eval_curve(ThetaTwoComp(1.0, 0.5, 2.0, 0.10), np.maximum(t - 16.0, 0.0)),
         )
-        series = TimeSeries(t, y + 0.01 * noise)
+        return TimeSeries(t, y + 0.01 * noise)
+
+    def test_flagged_window_fit_is_reported(self):
+        # the pre-window fit converges at beta ~ 0.007, where umax ~ 12 and
+        # beta trade off: cond(J'J) ~ 2.7e11
         spec = WindowSpec(intervention_time=15.0)
-        rep = ak.prepost_delta_beta(series, spec, n_boot=20, seed=(2, 0, 2))
-        assert rep.beta_pre < 1e-10
+        rep = ak.prepost_delta_beta(self.third_series((2, 7)), spec, n_boot=20, seed=(2, 7, 2))
+        assert rep.beta_pre == pytest.approx(0.00702, rel=1e-3)
         assert rep.pre_cov_unreliable and not rep.post_cov_unreliable
         unflagged = ak.prepost_delta_beta(prepost_series(0.05, 0.10, 0.01, seed=1), spec, n_boot=20)
         assert not unflagged.pre_cov_unreliable and not unflagged.post_cov_unreliable
+
+    def test_window_fit_does_not_stop_at_a_rounding_edge(self):
+        # with 1 - exp(-beta*t) evaluated by subtraction, this pre-window fit
+        # stopped at beta = 6.1e-15, umax = 1.3e13 (SSE 1.0074e-3), flagged,
+        # where the column was rounding noise; its interior optimum is lower
+        series = self.third_series((2, 0))
+        _, pre, _, _ = estimate._select_window(series, WindowSpec(intervention_time=15.0))
+        fit = estimate.fit_nls(estimate._window_series(series, pre))
+        assert fit.sse <= 4.1057e-4
+        assert fit.theta_two_comp().beta == pytest.approx(0.04235, rel=1e-3)
+        assert fit.converged and not fit.cov_unreliable
 
 
 def prepost_per_replicate(series, spec, n_boot, seed, level=0.95):
@@ -709,13 +746,17 @@ class TestPolishMany:
         t, Y, theta = self.rows(3, 0, 0.0)
         assert not estimate._polish_many(self.SEP, t, Y, self.SEP.coords(theta) + 0.1)[3].any()
 
-    def test_a_start_below_the_box_is_not_certified(self):
-        # beta below the start grid's box, where 1 - exp(-beta*t) loses digits
+    def test_a_start_below_the_box_is_certified(self):
+        # beta below the start grid's box: the columns stay exact there, so the
+        # polish ends where a single warm fit from that start does
         t, Y, theta = self.rows(5, 1, 0.01)
         w0 = self.SEP.coords(theta)
         w0[1] = estimate._ranges(t)["rate"][0] - 1.0
-        assert not estimate._polish_many(self.SEP, t, Y, w0)[3].any()
-        assert estimate._polish_many(self.SEP, t, Y, w0, floored=False)[3].all()
+        _, S, _, ok = estimate._polish_many(self.SEP, t, Y, w0)
+        assert ok.all()
+        init = self.SEP.theta(w0, [1.0, 1.0])
+        for y, sse in zip(Y, S):
+            assert sse == pytest.approx(estimate.fit_nls(TimeSeries(t, y), init=init).sse, rel=1e-9, abs=0.0)
 
     @staticmethod
     def cold_rows(count, seed, sigma, depth):
@@ -724,14 +765,14 @@ class TestPolishMany:
         return t, y + sigma * np.random.default_rng(seed).standard_normal((count, len(t)))
 
     @staticmethod
-    def assert_rows_independent(sep, t, Y, starts, floored):
+    def assert_rows_independent(sep, t, Y, starts):
         """Each row's bytes and certified flag are those of a batch of that
         row alone, and of the batch in reverse order."""
-        out = estimate._polish_many(sep, t, Y, starts, floored)
+        out = estimate._polish_many(sep, t, Y, starts)
         for i in range(len(Y)):
-            alone = estimate._polish_many(sep, t, Y[i : i + 1], starts[i : i + 1], floored)
+            alone = estimate._polish_many(sep, t, Y[i : i + 1], starts[i : i + 1])
             assert all(a.tobytes() == b[i : i + 1].tobytes() for a, b in zip(alone, out))
-        back = estimate._polish_many(sep, t, Y[::-1], starts[::-1], floored)
+        back = estimate._polish_many(sep, t, Y[::-1], starts[::-1])
         assert all(a[::-1].tobytes() == b.tobytes() for a, b in zip(back, out))
 
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -741,7 +782,7 @@ class TestPolishMany:
         t, Y = self.cold_rows(count, seed, sigma, depth)
         # both grid starts of every row, the alpha > beta sides first
         starts = np.concatenate(estimate._grid_best(*estimate._grid(self.SEP, t, Y, np.zeros(2), 0), True))
-        self.assert_rows_independent(self.SEP, t, np.concatenate([Y, Y]), starts, True)
+        self.assert_rows_independent(self.SEP, t, np.concatenate([Y, Y]), starts)
 
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)
     @given(count=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
@@ -755,7 +796,7 @@ class TestPolishMany:
         rng = np.random.default_rng(seed)
         thetas = [ThetaTwoComp(*np.exp(rng.uniform(-1.5, 1.0, 4))) for _ in range(count)]
         starts = np.array([estimate._cone_starts(th, W, val[:, i])[i % 2] for i, th in enumerate(thetas)])
-        self.assert_rows_independent(cone, t, Y, starts, False)
+        self.assert_rows_independent(cone, t, Y, starts)
 
     def test_certified_cold_and_cone_rows_match_the_per_row_fits(self, monkeypatch):
         # seeded trough and boundary series: no SSE of the batch paths may be
@@ -806,9 +847,9 @@ class TestPolishMany:
         # ftol stop (a step with ||J p||^2 <= 1e-12 SSE), at most ~3e-6 here.
         batches, polish = [], estimate._polish_many
 
-        def captured(sep, t, Y, w0, floored=True):
-            batches.append((sep, t, Y, w0, floored))
-            return polish(sep, t, Y, w0, floored)
+        def captured(sep, t, Y, w0):
+            batches.append((sep, t, Y, w0))
+            return polish(sep, t, Y, w0)
 
         monkeypatch.setattr(estimate, "_polish_many", captured)
         for s in range(4):
@@ -823,9 +864,11 @@ class TestPolishMany:
             estimate._monotone_sse_many(t, Y[free], [fits[i].theta_two_comp() for i in free])
         monkeypatch.undo()
         flags = {"warm": [0, 0], "cold": [0, 0], "cone": [0, 0]}
-        for k, (sep, t, Y, w0, floored) in enumerate(batches):
+        for k, (sep, t, Y, w0) in enumerate(batches):
             kind = "warm" if k < warm else "cone" if sep is estimate._MONOTONE_CONE else "cold"
-            (W, S, _, ok), (Wr, Sr, _, okr) = (f(sep, t, Y, w0, floored) for f in (polish, polish_many_reference))
+            W, S, _, ok = polish(sep, t, Y, w0)
+            # the reference's box floor guarded the loss of digits the columns no longer have
+            Wr, Sr, _, okr = polish_many_reference(sep, t, Y, w0, floored=False)
             flags[kind][0] += int((ok != okr).sum())
             flags[kind][1] += len(ok)
             if kind == "warm":

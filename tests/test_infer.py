@@ -258,6 +258,13 @@ class TestShapeTest:
         with pytest.raises(TooShort):
             infer.shape_test(TimeSeries(np.arange(5.0), np.ones(5) + np.arange(5)), n_boot=10)
 
+    @pytest.mark.parametrize("window, n_boot", [(0, 100), (-2, 100), (3, 0)])
+    def test_window_and_n_boot_below_one_raise(self, window, n_boot):
+        # before: a raw numpy error (window 0), a statistic of 2.06 with
+        # p = 0.83 (window -2), p = 1 from no resamples (n_boot 0)
+        with pytest.raises(ValidationError):
+            infer.shape_test(datasets.synthetic21().series, n_boot=n_boot, window=window)
+
     def test_deterministic_given_seed(self):
         series = datasets.synthetic21().series
         a = infer.shape_test(series, n_boot=300, seed=9)
