@@ -305,11 +305,15 @@ def _grid_best(W: np.ndarray, val: np.ndarray, split: bool) -> list[np.ndarray]:
     return [W[side][np.argmin(val[side], axis=0)] for side in sides]
 
 
-def _grid_minima(W: np.ndarray, val: np.ndarray, count: int) -> np.ndarray:
-    """The ``count`` best 3x3-neighbourhood minima of a ``_grid`` result, best first."""
-    V = np.pad(val.reshape(GRID_POINTS, GRID_POINTS), 1, constant_values=np.inf)
-    lows = np.flatnonzero(val <= sliding_window_view(V, (3, 3)).min(axis=(2, 3)).ravel())
-    return W[lows[np.argsort(val[lows])][:count]]
+def _grid_minima(W: np.ndarray, val: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` best 3x3-neighbourhood minima of each column of a
+    ``_grid`` result's ``val`` (shape (GRID_POINTS^2, B)), best first and
+    equal values in grid order, shape (count, B, 2); and how many each column
+    has, at most ``count`` (the points after those are not minima)."""
+    V = np.pad(val.reshape(GRID_POINTS, GRID_POINTS, -1), ((1, 1), (1, 1), (0, 0)), constant_values=np.inf)
+    lows = val <= sliding_window_view(V, (3, 3), axis=(0, 1)).min(axis=(3, 4)).reshape(val.shape)
+    order = np.lexsort((val, ~lows), axis=0)[:count]
+    return W[order], np.minimum(lows.sum(axis=0), count)
 
 
 def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev: int) -> OptimizeResult:
@@ -352,7 +356,8 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev:
         else:
             lead = _fit_coords(_SEPARABLE[Family.LOGISTIC], t, y, None, max_nfev).x
             W, val = _grid(sep, t, y, np.concatenate([lead, lead]), 2)
-            firsts = [polish(w0) for w0 in _grid_minima(W, val, 3)]
+            minima, k = _grid_minima(W, val[:, None], 3)
+            firsts = [polish(w0) for w0 in minima[: k[0], 0]]
             yield from firsts
             yield polish(grid_best(min(firsts, key=lambda r: r.cost).x, 0)[0])
 
@@ -376,11 +381,16 @@ def _monotone_sse(t: np.ndarray, y: np.ndarray, theta: ThetaTwoComp) -> float:
     return 2.0 * _fit_coords(_MONOTONE_CONE, t, y, starts, 5000).cost
 
 
+def _cone_free(theta: ThetaTwoComp) -> list[float]:
+    """A free fit's cone coordinates, on the alpha = beta limit if alpha <= beta."""
+    gap = theta.alpha - theta.beta
+    return [math.log(theta.beta), math.log(gap) if gap > 0 else -40.0]
+
+
 def _cone_starts(theta: ThetaTwoComp, W: np.ndarray, val: np.ndarray) -> list[np.ndarray]:
     """``_monotone_sse``'s starts from the free fit and the cone's grid."""
-    gap = theta.alpha - theta.beta
-    free = np.array([math.log(theta.beta), math.log(gap) if gap > 0 else -40.0])
-    return [free, *_grid_minima(W, val, 2)]
+    minima, k = _grid_minima(W, val[:, None], 2)
+    return [np.array(_cone_free(theta)), *minima[: k[0], 0]]
 
 
 def _monotone_sse_many(t: np.ndarray, Y: np.ndarray, thetas: list[ThetaTwoComp]):
@@ -392,9 +402,10 @@ def _monotone_sse_many(t: np.ndarray, Y: np.ndarray, thetas: list[ThetaTwoComp])
     class name} of the rows that raised)."""
     B = len(Y)
     W, val = _grid(_MONOTONE_CONE, t, Y, np.zeros(2), 0)
-    starts = [_cone_starts(theta, W, val[:, i]) for i, theta in enumerate(thetas)]
-    # a grid with a single local minimum repeats it, which changes no minimum
-    starts = np.array([s + s[-1:] * (3 - len(s)) for s in starts]).reshape(3 * B, 2)
+    minima, k = _grid_minima(W, val, 2)
+    starts = np.concatenate([np.array([_cone_free(theta) for theta in thetas])[None], minima])
+    # a grid with fewer than two local minima repeats its last start, which changes no minimum
+    starts = starts[np.minimum(np.arange(3)[:, None], k), np.arange(B)].transpose(1, 0, 2).reshape(3 * B, 2)
     _, S, _, certified = _polish_many(_MONOTONE_CONE, t, np.repeat(Y, 3, axis=0), starts)
     sse, certified = S.reshape(B, 3).min(axis=1), certified.reshape(B, 3).all(axis=1)
     errors = {}
@@ -632,7 +643,7 @@ def _lmpar(gd, g01, b, d, delta, par):
     return par, np.where(stepped, solve(gd + par * d * d)[0], p)
 
 
-def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray):
+def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, partner=None):
     """Levenberg-Marquardt polish of the 2 coordinates of each row of ``Y``
     (shape (B, n), a series per row on the times ``t``) from ``w0`` (shape
     (B, 2), or (2,) for all), for a family with one or two amplitudes: the
@@ -651,7 +662,12 @@ def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray):
     it is still active after ``_BATCH_MAX_ITER`` trial steps, when its SSE or
     step is not finite, or when it is fitted exactly (``fit_nls`` may raise
     SingularJacobian there). Every column is evaluated with ``expm1``, exact
-    as a rate goes to 0, so warm, cold and cone rows run one rule. Returns
+    as a rate goes to 0, so warm, cold and cone rows run one rule. Given
+    ``partner`` (a row index per row), a row whose partner is certified
+    retires, certified, once its Gauss-Newton model minimum
+    S - J'r (J'J)^-1 J'r is above the partner's SSE by over 1e-6 relative (a
+    multistart merit filter; Ugray et al. 2007, *INFORMS J. Comput.* 19:328):
+    a row's bytes then depend on its partner's as well as its own. Returns
     (W, SSE, evaluations, certified), shapes (B, 2), (B,), (B,) and (B,).
     """
     h = 1.4901161193847656e-06  # lmdif's difference step at x = 100
@@ -718,9 +734,14 @@ def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray):
             X[20] += 3.0
             stop_f = (np.abs(actred) <= SOLVE_FTOL) & (prered <= SOLVE_FTOL) & (ratio <= 2.0)
             done = stop_g | stop_f | (delta <= 1e-12 * xnorm)
+            rows = X[0].astype(int)
+            if partner is not None:  # the merit filter: retire a row its certified partner has beaten
+                certified[rows[done]], out[2, rows[done]] = True, S[done]
+                mate, det = partner[rows], gd[0] * gd[1] - X[8] * X[8]
+                low = S - (gd[1] * b[0] * b[0] - 2.0 * X[8] * b[0] * b[1] + gd[0] * b[1] * b[1]) / det
+                done |= certified[mate] & (det > 0.0) & (low > out[2, mate] * (1.0 + 1e-6))
             keep = np.isfinite(pnorm) & ~done
             if not keep.all():
-                rows = X[0].astype(int)
                 out[:, rows], certified[rows[done]] = X[[1, 2, 3, 20]], True
                 X, Yr = X[:, keep], Yr[keep]
         out[:, X[0].astype(int)] = X[[1, 2, 3, 20]]  # the rows active after the last step
@@ -733,7 +754,8 @@ def _fit_cold_many(t: np.ndarray, Y: np.ndarray) -> tuple[list, dict[int, str]]:
     (B, n)), as one batch.
 
     Each row takes ``_fit_coords``'s two grid starts, the best point on each
-    side of alpha = beta, and one ``_polish_many`` polishes all 2B of them.
+    side of alpha = beta, and one ``_polish_many`` polishes all 2B of them,
+    each the other's partner (a beaten start retires early, as the loser).
     A row with both certified keeps the lower SSE (the alpha > beta side on
     a tie, as ``_fit_coords`` does) and gets ``fit_nls``'s report
     (``_fit_report``); the others are fit by ``fit_nls``. Returns (reports,
@@ -746,7 +768,8 @@ def _fit_cold_many(t: np.ndarray, Y: np.ndarray) -> tuple[list, dict[int, str]]:
     # times that fit_nls refuses go to it, to raise
     if n > curves.family_arity(Family.TWO_COMP) and np.all(np.diff(t) > 0.0) and np.isfinite(t).all():
         starts = np.concatenate(_grid_best(*_grid(sep, t, Y, np.zeros(2), 0), split=True))
-        W, S, nfev, certified = _polish_many(sep, t, np.concatenate([Y, Y]), starts)
+        W, S, nfev, certified = _polish_many(sep, t, np.concatenate([Y, Y]), starts,
+                                             (np.arange(2 * B) + B) % (2 * B))
         side = np.where(S[B:] < S[:B], np.arange(B, 2 * B), np.arange(B))
         side[~(certified[:B] & certified[B:])] = -1
     reports, errors = [None] * B, {}

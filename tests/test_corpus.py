@@ -6,7 +6,7 @@ from adoptkit import estimate
 
 def test_twocomp960_free_fits_and_lr_decisions(monkeypatch):
     # the batched paths of the Monte-Carlo loop: no free-fit SSE worse than
-    # stored, every reject decision equal, and few rows refit singly
+    # stored, every reject decision equal, and no row refit singly
     fallbacks = 0
     fit_nls = estimate.fit_nls
 
@@ -28,4 +28,4 @@ def test_twocomp960_free_fits_and_lr_decisions(monkeypatch):
     assert seen == len(stored) == 960
     assert not worse
     assert not flipped
-    assert fallbacks <= 48
+    assert fallbacks == 0

@@ -786,6 +786,54 @@ class TestPolishMany:
 
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)
     @given(count=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+           sigma=st.sampled_from([0.0, 0.02, 0.05, 0.2]), depth=st.sampled_from([0.0, 0.2, 0.4]))
+    def test_cold_pairs_do_not_depend_on_their_batch(self, count, seed, sigma, depth):
+        # with partners (row i and row i + count, as _fit_cold_many pairs its
+        # starts), each pair's bytes and flags are those of a batch of that
+        # pair alone, and of the batch in reverse order
+        t, Y = self.cold_rows(count, seed, sigma, depth)
+        starts = np.concatenate(estimate._grid_best(*estimate._grid(self.SEP, t, Y, np.zeros(2), 0), True))
+        Y2, partner = np.concatenate([Y, Y]), (np.arange(2 * count) + count) % (2 * count)
+        out = estimate._polish_many(self.SEP, t, Y2, starts, partner)
+        for i in range(count):
+            pair = [i, i + count]
+            alone = estimate._polish_many(self.SEP, t, Y2[pair], starts[pair], np.array([1, 0]))
+            assert all(a.tobytes() == b[pair].tobytes() for a, b in zip(alone, out))
+        back = estimate._polish_many(self.SEP, t, Y2[::-1], starts[::-1], 2 * count - 1 - partner[::-1])
+        assert all(a[::-1].tobytes() == b.tobytes() for a, b in zip(back, out))
+
+    def test_a_beaten_cold_start_retires(self, monkeypatch):
+        # crlb_check's inputs in the benchmark: deep troughs, whose alpha < beta
+        # starts lose. A row that retires once its certified partner is below
+        # its Gauss-Newton model minimum loses to that partner; the winners
+        # keep their bytes, and the batch takes fewer steps
+        theta, em, t = ThetaTwoComp(3.0, 0.8, 2.0, 0.25), fisher.GaussianIid(0.05), np.linspace(0.0, 20.0, 41)
+        Y = np.array([fisher.sample_observations(theta, t, em, np.random.default_rng((1, 0, i))) for i in range(100)])
+        B = len(Y)
+        starts = np.concatenate(estimate._grid_best(*estimate._grid(self.SEP, t, Y, np.zeros(2), 0), True))
+        calls, lmpar = [0], estimate._lmpar
+
+        def counted(*args):
+            calls[0] += 1
+            return lmpar(*args)
+
+        monkeypatch.setattr(estimate, "_lmpar", counted)
+        partner = (np.arange(2 * B) + B) % (2 * B)
+        W, S, nfev, ok = estimate._polish_many(self.SEP, t, np.concatenate([Y, Y]), starts, partner)
+        paired, calls[0] = calls[0], 0
+        W0, S0, nfev0, ok0 = estimate._polish_many(self.SEP, t, np.concatenate([Y, Y]), starts)
+        retired = (nfev != nfev0) | (S != S0) | (W != W0).any(axis=1)
+        assert retired.any()
+        assert ok[retired].all() and ok[partner[retired]].all()
+        assert (S[partner[retired]] < S[retired]).all()
+        win = np.where(S[B:] < S[:B], np.arange(B, 2 * B), np.arange(B))[ok[:B] & ok[B:]]
+        assert len(win) == B and not retired[win].any()
+        assert W[win].tobytes() == W0[win].tobytes() and S[win].tobytes() == S0[win].tobytes()
+        assert nfev[win].tobytes() == nfev0[win].tobytes()
+        assert paired < calls[0]
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(count=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
            sigma=st.sampled_from([0.02, 0.05, 0.2]), depth=st.sampled_from([0.0, 0.2]))
     def test_cone_rows_do_not_depend_on_their_batch(self, count, seed, sigma, depth):
         cone = estimate._MONOTONE_CONE
@@ -847,9 +895,9 @@ class TestPolishMany:
         # ftol stop (a step with ||J p||^2 <= 1e-12 SSE), at most ~3e-6 here.
         batches, polish = [], estimate._polish_many
 
-        def captured(sep, t, Y, w0):
+        def captured(sep, t, Y, w0, partner=None):
             batches.append((sep, t, Y, w0))
-            return polish(sep, t, Y, w0)
+            return polish(sep, t, Y, w0, partner)
 
         monkeypatch.setattr(estimate, "_polish_many", captured)
         for s in range(4):
