@@ -127,12 +127,13 @@ class FitReport:
 # ---------------------------------------------------------------------------
 
 def _jacobian(family: Family, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """d curve / d theta at ``t``, shape (n, k): column j is Im f(theta + i*h*e_j) / h,
-    exact to rounding because ``curves._eval_values`` is complex-analytic."""
-    h = 1e-30
-    # row i: parameter i in each of the k steps, a column against t
-    steps = theta[:, None] + 1j * h * np.eye(len(theta))
-    return curves._eval_values(family, steps[..., None], t).imag.T / h
+    """d curve / d theta at ``t`` for each row of ``theta`` (shape (B, k)),
+    shape (B, n, k): column j is Im f(theta + i*h*e_j) / h, exact to
+    rounding because ``curves._eval_values`` is complex-analytic."""
+    h, k = 1e-30, theta.shape[1]
+    # row i: parameter i of each theta in each of the k steps, a column against t
+    steps = theta.T[..., None] + 1j * h * np.eye(k)[:, None]
+    return curves._eval_values(family, steps[..., None], t).imag.swapaxes(1, 2) / h
 
 
 class _Separable:
@@ -397,16 +398,22 @@ def _monotone_sse_many(t: np.ndarray, Y: np.ndarray, thetas: list[ThetaTwoComp])
     """``_monotone_sse`` of each row of ``Y`` (shape (B, n)) and its free
     fit ``thetas[i]``, as one batch. All rows' starts are polished by one
     ``_polish_many`` over the cone, whose columns stay exact at the clip
-    limits. A row with every start certified gets the least
-    SSE; the others go to ``_monotone_sse``. Returns (SSE, {row: exception
-    class name} of the rows that raised)."""
+    limits. Each start has its series' other two as mates, with margin
+    1 - 1e-6: only the least SSE of the three is kept, so a start retires as
+    soon as its model minimum shows it cannot get below a certified mate's
+    SSE (a slow start that heads for a mate's point stops early). A row with
+    every start certified gets the least SSE; the others go to
+    ``_monotone_sse``. Returns (SSE, {row: exception class name} of the rows
+    that raised)."""
     B = len(Y)
     W, val = _grid(_MONOTONE_CONE, t, Y, np.zeros(2), 0)
     minima, k = _grid_minima(W, val, 2)
     starts = np.concatenate([np.array([_cone_free(theta) for theta in thetas])[None], minima])
     # a grid with fewer than two local minima repeats its last start, which changes no minimum
     starts = starts[np.minimum(np.arange(3)[:, None], k), np.arange(B)].transpose(1, 0, 2).reshape(3 * B, 2)
-    _, S, _, certified = _polish_many(_MONOTONE_CONE, t, np.repeat(Y, 3, axis=0), starts)
+    row = np.arange(3 * B)[:, None]
+    mates = row - row % 3 + (row + [[1, 2]]) % 3
+    _, S, _, certified = _polish_many(_MONOTONE_CONE, t, np.repeat(Y, 3, axis=0), starts, mates, 1.0 - 1e-6)
     sse, certified = S.reshape(B, 3).min(axis=1), certified.reshape(B, 3).all(axis=1)
     errors = {}
     for i in np.flatnonzero(~certified):
@@ -499,57 +506,74 @@ def fit_nls(
         theta, degenerate = _double_exp_edge(sep, t, y, res.x)
     else:
         theta, degenerate = sep.theta(res.x, sep.solve(res.x, t, y)[1]), False
-    return _fit_report(family, t, y, _canonical(family, theta), res.nfev, degenerate, tol)
+    reports, errors = _fit_reports(family, t, y[None], _canonical(family, theta)[None], [res.nfev],
+                                   degenerate, tol)
+    if errors:
+        raise errors[0]
+    return reports[0]
 
 
-def _fit_report(family: Family, t: np.ndarray, y: np.ndarray, theta: np.ndarray, nfev: int,
-                degenerate: bool = False, tol: float = 1e-6) -> FitReport:
-    """``fit_nls``'s report of the fit ``theta`` of ``y`` on the times ``t``:
-    residuals, AIC, covariance, the flags and the stationarity check, or
-    SingularJacobian for a singular exact fit."""
-    k, n = len(theta), len(t)
-    fitted = curves._eval_values(family, theta, t)
-    e = y - fitted
-    sse = float(np.dot(e, e))
-    msr = sse / n
-    aic = 2.0 * k + n * (math.log(msr) if msr > 0 else -math.inf)
-    sigma2 = sse / (n - k)
-
-    J = _jacobian(family, t, theta)
-    jtj = J.T @ J
-    cond = float(np.linalg.cond(jtj))
-    scale = max(1.0, float(np.max(np.abs(y))))
-    singular = not np.isfinite(cond) or cond > COND_SINGULAR
-    if singular and msr < (1e-8 * scale) ** 2:
-        raise SingularJacobian(
-            f"J'J condition number {cond:.3g} with an exact fit: the data "
-            "admit a continuum of perfect fits (e.g. a constant series)",
-            condition=cond,
+def _fit_reports(family: Family, t: np.ndarray, Y: np.ndarray, Theta: np.ndarray, nfev,
+                 degenerate: bool = False, tol: float = 1e-6) -> tuple[list, dict[int, Exception]]:
+    """``fit_nls``'s report of each fit ``Theta[i]`` (shape (B, k)) of the row
+    ``Y[i]`` (shape (B, n)) on the times ``t``, found in ``nfev[i]``
+    evaluations: residuals, AIC, covariance, the flags and the stationarity
+    check. The Jacobians, J'J, its condition numbers and inverses are taken
+    for all rows at once (stacked ``matmul`` and ``np.linalg``), so a row's
+    bytes are those of a batch of it alone; the SSE is a dot per row.
+    Returns (reports, {row: exception} of the rows that raised, whose report
+    is None): SingularJacobian for a singular exact fit, LinAlgError where
+    J'J has no singular values (it has a NaN)."""
+    (B, k), n = Theta.shape, len(t)
+    E = Y - curves._eval_values(family, Theta.T[..., None], t)
+    J = _jacobian(family, t, Theta)
+    jtj = J.swapaxes(1, 2) @ J
+    grad = 2.0 * ((J * np.where(curves.FAMILY_POSITIVE[family], Theta, 1.0)[:, None]).swapaxes(1, 2)
+                  @ E[..., None])[..., 0]
+    try:
+        cond = np.linalg.cond(jtj)
+    except np.linalg.LinAlgError:  # a J'J with a NaN fails the whole stack: its row raises alone, below
+        cond = np.array([np.nan if np.isnan(m).any() else np.linalg.cond(m) for m in jtj])
+    singular = ~(cond <= COND_SINGULAR)  # NaN and inf too
+    inv = np.linalg.inv(np.where(singular[:, None, None], np.eye(k), jtj) if singular.any() else jtj)
+    sse = np.array([np.dot(e, e) for e in E])
+    sigma2, msr = sse / (n - k), sse / n
+    errors = {}
+    for i in singular.nonzero()[0]:
+        try:
+            if np.isnan(cond[i]):
+                np.linalg.cond(jtj[i])  # raises LinAlgError, as for one fit
+            if msr[i] < (1e-8 * max(1.0, float(np.max(np.abs(Y[i]))))) ** 2:
+                raise SingularJacobian(
+                    f"J'J condition number {cond[i]:.3g} with an exact fit: the data "
+                    "admit a continuum of perfect fits (e.g. a constant series)",
+                    condition=float(cond[i]),
+                )
+            inv[i] = np.linalg.pinv(jtj[i], hermitian=True)
+        except (SingularJacobian, np.linalg.LinAlgError) as exc:
+            errors[int(i)] = exc
+    cov = sigma2[:, None, None] * inv
+    cov = 0.5 * (cov + cov.swapaxes(1, 2))
+    reports = [None] * B
+    for i in range(B):
+        if i in errors:
+            continue
+        grad_norm = float(np.linalg.norm(grad[i]))
+        reports[i] = FitReport(
+            family=family,
+            theta=Theta[i],
+            cov=cov[i],
+            residuals=E[i],
+            sigma2=float(sigma2[i]),
+            aic=2.0 * k + n * (math.log(msr[i]) if msr[i] > 0 else -math.inf),
+            converged=bool(not degenerate and grad_norm < tol * (1.0 + sse[i])),
+            n_iter=int(nfev[i]),
+            jtj_condition=float(cond[i]),
+            cov_unreliable=bool(degenerate or singular[i] or cond[i] > COND_UNRELIABLE),
+            grad_norm=grad_norm,
+            singular=bool(singular[i]),
         )
-    if singular:
-        cov = sigma2 * np.linalg.pinv(jtj, hermitian=True)
-    else:
-        cov = sigma2 * np.linalg.inv(jtj)
-    cov = 0.5 * (cov + cov.T)
-
-    chain = np.where(curves.FAMILY_POSITIVE[family], theta, 1.0)
-    grad = 2.0 * (J * chain).T @ e
-    grad_norm = float(np.linalg.norm(grad))
-    converged = not degenerate and grad_norm < tol * (1.0 + sse)
-    return FitReport(
-        family=family,
-        theta=theta,
-        cov=cov,
-        residuals=e,
-        sigma2=float(sigma2),
-        aic=float(aic),
-        converged=bool(converged),
-        n_iter=int(nfev),
-        jtj_condition=cond,
-        cov_unreliable=bool(degenerate or singular or cond > COND_UNRELIABLE),
-        grad_norm=grad_norm,
-        singular=bool(singular),
-    )
+    return reports, errors
 
 
 def _lmdif(residual, z0: np.ndarray, max_nfev: int) -> OptimizeResult:
@@ -643,7 +667,8 @@ def _lmpar(gd, g01, b, d, delta, par):
     return par, np.where(stepped, solve(gd + par * d * d)[0], p)
 
 
-def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, partner=None):
+def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, mates=None,
+                 margin: float = 1.0 + 1e-6):
     """Levenberg-Marquardt polish of the 2 coordinates of each row of ``Y``
     (shape (B, n), a series per row on the times ``t``) from ``w0`` (shape
     (B, 2), or (2,) for all), for a family with one or two amplitudes: the
@@ -662,13 +687,18 @@ def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, 
     it is still active after ``_BATCH_MAX_ITER`` trial steps, when its SSE or
     step is not finite, or when it is fitted exactly (``fit_nls`` may raise
     SingularJacobian there). Every column is evaluated with ``expm1``, exact
-    as a rate goes to 0, so warm, cold and cone rows run one rule. Given
-    ``partner`` (a row index per row), a row whose partner is certified
-    retires, certified, once its Gauss-Newton model minimum
-    S - J'r (J'J)^-1 J'r is above the partner's SSE by over 1e-6 relative (a
-    multistart merit filter; Ugray et al. 2007, *INFORMS J. Comput.* 19:328):
-    a row's bytes then depend on its partner's as well as its own. Returns
-    (W, SSE, evaluations, certified), shapes (B, 2), (B,), (B,) and (B,).
+    as a rate goes to 0, so warm, cold and cone rows run one rule.
+
+    Given ``mates`` (shape (B, k): the indices of each row's k group-mates),
+    a row retires, certified, once its Gauss-Newton model minimum
+    S - J'r (J'J)^-1 J'r is above ``margin`` times the least SSE of its
+    certified mates (a multistart merit filter; Ugray et al. 2007, *INFORMS
+    J. Comput.* 19:328): a row's bytes then depend on its mates' as well as
+    its own. The default margin 1 + 1e-6 retires a row its mate has beaten,
+    as a caller that picks between the rows needs; a caller that keeps only
+    a group's least SSE passes 1 - 1e-6, which also retires a row that cannot
+    improve on its mates. Returns (W, SSE, evaluations, certified), shapes
+    (B, 2), (B,), (B,) and (B,).
     """
     h = 1.4901161193847656e-06  # lmdif's difference step at x = 100
     neighbours = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])[:, None, :]
@@ -735,11 +765,12 @@ def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, 
             stop_f = (np.abs(actred) <= SOLVE_FTOL) & (prered <= SOLVE_FTOL) & (ratio <= 2.0)
             done = stop_g | stop_f | (delta <= 1e-12 * xnorm)
             rows = X[0].astype(int)
-            if partner is not None:  # the merit filter: retire a row its certified partner has beaten
+            if mates is not None:  # the merit filter: retire a row its certified mates have beaten
                 certified[rows[done]], out[2, rows[done]] = True, S[done]
-                mate, det = partner[rows], gd[0] * gd[1] - X[8] * X[8]
+                mate, det = mates[rows], gd[0] * gd[1] - X[8] * X[8]
                 low = S - (gd[1] * b[0] * b[0] - 2.0 * X[8] * b[0] * b[1] + gd[0] * b[1] * b[1]) / det
-                done |= certified[mate] & (det > 0.0) & (low > out[2, mate] * (1.0 + 1e-6))
+                best = np.where(certified[mate], out[2, mate], np.inf).min(axis=1)
+                done |= (det > 0.0) & (low > best * margin)
             keep = np.isfinite(pnorm) & ~done
             if not keep.all():
                 out[:, rows], certified[rows[done]] = X[[1, 2, 3, 20]], True
@@ -755,12 +786,12 @@ def _fit_cold_many(t: np.ndarray, Y: np.ndarray) -> tuple[list, dict[int, str]]:
 
     Each row takes ``_fit_coords``'s two grid starts, the best point on each
     side of alpha = beta, and one ``_polish_many`` polishes all 2B of them,
-    each the other's partner (a beaten start retires early, as the loser).
+    each the other's mate (a beaten start retires early, as the loser).
     A row with both certified keeps the lower SSE (the alpha > beta side on
-    a tie, as ``_fit_coords`` does) and gets ``fit_nls``'s report
-    (``_fit_report``); the others are fit by ``fit_nls``. Returns (reports,
-    {row: exception class name} of the rows that raised); a row that raised
-    has report None.
+    a tie, as ``_fit_coords`` does) and gets ``fit_nls``'s report, all
+    such rows as one batch (``_fit_reports``); the others are fit by
+    ``fit_nls``. Returns (reports, {row: exception class name} of the rows
+    that raised); a row that raised has report None.
     """
     sep = _SEPARABLE[Family.TWO_COMP]
     B, n = Y.shape
@@ -769,20 +800,21 @@ def _fit_cold_many(t: np.ndarray, Y: np.ndarray) -> tuple[list, dict[int, str]]:
     if n > curves.family_arity(Family.TWO_COMP) and np.all(np.diff(t) > 0.0) and np.isfinite(t).all():
         starts = np.concatenate(_grid_best(*_grid(sep, t, Y, np.zeros(2), 0), split=True))
         W, S, nfev, certified = _polish_many(sep, t, np.concatenate([Y, Y]), starts,
-                                             (np.arange(2 * B) + B) % (2 * B))
+                                             ((np.arange(2 * B) + B) % (2 * B))[:, None])
         side = np.where(S[B:] < S[:B], np.arange(B, 2 * B), np.arange(B))
         side[~(certified[:B] & certified[B:])] = -1
-    reports, errors = [None] * B, {}
-    for i, y in enumerate(Y):
+    reports, errors, rows = [None] * B, {}, np.flatnonzero(side >= 0)
+    if len(rows):
+        Theta = np.array([sep.theta(W[side[i]], sep.solve(W[side[i]], t, Y[i])[1]) for i in rows])
+        batch, raised = _fit_reports(Family.TWO_COMP, t, Y[rows], Theta, nfev[side[rows]])
+        errors = {int(rows[j]): type(exc).__name__ for j, exc in raised.items()}
+        for i, report in zip(rows, batch):
+            reports[i] = report
+    for i in np.flatnonzero(side < 0):
         try:
-            if side[i] < 0:
-                reports[i] = fit_nls(TimeSeries(t, y), Family.TWO_COMP)
-            else:
-                w = W[side[i]]
-                theta = sep.theta(w, sep.solve(w, t, y)[1])
-                reports[i] = _fit_report(Family.TWO_COMP, t, y, theta, int(nfev[side[i]]))
+            reports[i] = fit_nls(TimeSeries(t, Y[i]), Family.TWO_COMP)
         except RECOVERABLE as exc:
-            errors[i] = type(exc).__name__
+            errors[int(i)] = type(exc).__name__
     return reports, errors
 
 

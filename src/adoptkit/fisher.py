@@ -266,31 +266,40 @@ def sample_observations(theta: ThetaTwoComp, times, em: ErrorModel, rng: np.rand
 
     AR(1) noise is drawn from its stationary law with marginal variance
     sigma^2 (innovations sigma*sqrt(1-rho^2)), matching Sigma_ij =
-    sigma^2 rho^|i-j| used by info_matrix.
+    sigma^2 rho^|i-j| used by info_matrix. The one-row case of
+    ``_sample_many``.
     """
+    return _sample_many(theta, times, em, [rng])[0]
+
+
+def _sample_many(theta: ThetaTwoComp, times, em: ErrorModel, rngs) -> np.ndarray:
+    """``sample_observations`` with each generator of ``rngs``, shape
+    (len(rngs), n): the curve is evaluated once, each row draws from its own
+    generator, and the AR(1) recursion runs across the rows a column at a
+    time, with one row's operations."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     mean = curves.eval_curve(theta, times)
-    if isinstance(em, GaussianIid):
-        return mean + em.sigma * rng.standard_normal(len(times))
-    if isinstance(em, GaussianAr1):
-        z = rng.standard_normal(len(times))
-        e = np.empty(len(times))
-        e[0] = em.sigma * z[0]
+    if isinstance(em, (GaussianIid, GaussianAr1)):
+        z = np.array([rng.standard_normal(len(times)) for rng in rngs])
+        if isinstance(em, GaussianIid):
+            return mean + em.sigma * z
+        e = np.empty_like(z)
+        e[:, 0] = em.sigma * z[:, 0]
         innov = em.sigma * math.sqrt(1.0 - em.rho**2)
         for i in range(1, len(times)):
-            e[i] = em.rho * e[i - 1] + innov * z[i]
+            e[:, i] = em.rho * e[:, i - 1] + innov * z[:, i]
         return mean + e
     if isinstance(em, PoissonCounts):
         lam = em.kappa * mean
         if np.any(lam <= 0):
             raise PoissonBoundary("kappa*A(t) must be positive at every design point")
-        return rng.poisson(lam).astype(float)
+        return np.array([rng.poisson(lam) for rng in rngs], dtype=float)
     if isinstance(em, BinomialCounts):
         p = mean / em.m
         if np.any((p <= 0) | (p >= 1)):
             raise BinomialBoundary("A(t)/M must lie strictly inside (0,1)")
         trials = np.broadcast_to(np.asarray(em.trials), times.shape)
-        return rng.binomial(trials, p).astype(float)
+        return np.array([rng.binomial(trials, p) for rng in rngs], dtype=float)
     raise ValidationError(f"unknown error model {em!r}")
 
 
@@ -334,10 +343,8 @@ def crlb_check(
     times = np.atleast_1d(np.asarray(times, dtype=float))
     report = info_matrix(theta, times, em)
 
-    Y = np.array([
-        sample_observations(theta, times, em, np.random.default_rng(np.random.SeedSequence((_seed_int(seed), 0, i))))
-        for i in range(replicates)
-    ])
+    Y = _sample_many(theta, times, em, [np.random.default_rng(np.random.SeedSequence((_seed_int(seed), 0, i)))
+                                        for i in range(replicates)])
     fits, errors = estimate._fit_cold_many(times, Y)
     ok = [(float(fit.theta[1]), float(fit.theta[3])) for fit in fits if fit is not None]
     if len(ok) < 2:

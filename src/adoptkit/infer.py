@@ -164,14 +164,21 @@ def _constrained_lr_many(t: np.ndarray, Y: np.ndarray, fits: list) -> list[TestR
     """``constrained_lr(TimeSeries(t, y), fit)`` of each row y of ``Y`` and
     its free fit, with the constrained fits as one batch
     (``estimate._monotone_sse_many``); None where that fit raises."""
+    sse_c, failed = _constrained_sse_many(t, Y, fits)
+    return [None if i in failed else _lr_result(len(t), fit.sse, sse_c[i]) for i, fit in enumerate(fits)]
+
+
+def _constrained_sse_many(t: np.ndarray, Y: np.ndarray, fits: list) -> tuple[list, set[int]]:
+    """The constrained SSE of each row of ``Y`` given its free fit, None
+    where that fit is monotone, and the rows whose constrained fit raised."""
     thetas = [fit.theta_two_comp() for fit in fits]
     rows = [i for i, th in enumerate(thetas) if not curves.monotone_condition(th)]
-    sse_c, errors = dict.fromkeys(range(len(fits))), {}
+    sse_c, errors = [None] * len(fits), {}
     if rows:
         sse, errors = estimate._monotone_sse_many(t, Y[rows], [thetas[i] for i in rows])
-        sse_c.update(zip(rows, sse.tolist()))
-    failed = {rows[j] for j in errors}
-    return [None if i in failed else _lr_result(len(t), fit.sse, sse_c[i]) for i, fit in enumerate(fits)]
+        for i, value in zip(rows, sse.tolist()):
+            sse_c[i] = value
+    return sse_c, {rows[j] for j in errors}
 
 
 def _lr_result(n: int, sse_u: float, sse_c: float | None) -> TestResult:
@@ -217,10 +224,6 @@ def isotonic_fit(y) -> np.ndarray:
     return out
 
 
-def _shape_statistic(y: np.ndarray, window: int) -> float:
-    return float(np.min(y[window:] - y[:-window]))
-
-
 def shape_test(series: estimate.TimeSeries, n_boot: int = 1000, seed=0, window: int = 3) -> TestResult:
     """Most negative windowed sum of first differences vs a monotone null.
 
@@ -230,27 +233,34 @@ def shape_test(series: estimate.TimeSeries, n_boot: int = 1000, seed=0, window: 
     one-sided p for "too negative". Resampling scatters any contiguous dip,
     so the test keys on contiguity rather than on an explicit noise scale;
     the price is an elevated false-positive rate when the truth hugs the
-    monotone boundary (see the benchmark report for measured rates). Raises
-    ValidationError when ``window`` or ``n_boot`` is below 1.
+    monotone boundary (see the benchmark report for measured rates). The
+    one-row case of ``_shape_tests``. Raises ValidationError when ``window``
+    or ``n_boot`` is below 1.
     """
+    return _shape_tests(series.values[None], n_boot, [seed], window)[0]
+
+
+def _shape_tests(Y: np.ndarray, n_boot: int, seeds, window: int = 3) -> list[TestResult]:
+    """``shape_test`` of each row of ``Y`` (shape (B, n)) with its own seed
+    ``seeds[i]``. Each row's isotonic fit, resampling and bootstrap minima
+    are taken as alone (stacked, the (B, n_boot, n) draws fall out of cache
+    and run slower); the observed statistics, the counts and the p-values of
+    all rows at once, exact in any order. Raises TooShort for every row at
+    once, since they share their length."""
     if window < 1 or n_boot < 1:
         raise ValidationError(f"window and n_boot must be >= 1, got {window} and {n_boot}")
-    y = series.values
-    if len(y) < max(8, window + 1):
+    B, n = Y.shape
+    if n < max(8, window + 1):
         raise TooShort(f"need at least {max(8, window + 1)} points")
-    s_obs = _shape_statistic(y, window)
-    fit = isotonic_fit(y)
-    resid = y - fit
-    rng = np.random.default_rng(seed)
-    # one (n_boot, n) draw gives the same numbers as n_boot draws of n
-    ystar = fit + rng.choice(resid, size=(n_boot, len(y)), replace=True)
-    s_boot = np.min(ystar[:, window:] - ystar[:, :-window], axis=1)
-    count = int(np.count_nonzero(s_boot <= s_obs))
-    p = (1.0 + count) / (1.0 + n_boot)
-    return TestResult(
-        statistic=s_obs,
-        p_value=p,
-        decision_at_05=p < 0.05,
-        method=f"shape test, window={window} downward difference sums, "
-        f"isotonic-null residual bootstrap ({n_boot} resamples)",
-    )
+    s_obs = np.min(Y[:, window:] - Y[:, :-window], axis=1)
+    s_boot = np.empty((B, n_boot))
+    for y, seed, out in zip(Y, seeds, s_boot):
+        fit = isotonic_fit(y)
+        # one (n_boot, n) draw gives the same numbers as n_boot draws of n
+        ystar = fit + np.random.default_rng(seed).choice(y - fit, size=(n_boot, n), replace=True)
+        np.min(ystar[:, window:] - ystar[:, :-window], axis=1, out=out)
+    p_values = (1.0 + np.count_nonzero(s_boot <= s_obs[:, None], axis=1)) / (1.0 + n_boot)
+    method = (f"shape test, window={window} downward difference sums, "
+              f"isotonic-null residual bootstrap ({n_boot} resamples)")
+    return [TestResult(statistic=s, p_value=p, decision_at_05=p < 0.05, method=method)
+            for s, p in zip(s_obs.tolist(), p_values.tolist())]

@@ -236,12 +236,16 @@ def _run_scenario(
         crlb_beta = None
 
     seeds = [(grid.seed, scenario_index, i) for i in range(grid.replicates)]
-    Y = np.array([fisher.sample_observations(theta, times, em, np.random.default_rng(s)) for s in seeds])
+    Y = fisher._sample_many(theta, times, em, [np.random.default_rng(s) for s in seeds])
     fits, errors = estimate._fit_cold_many(times, Y)
     rows = [i for i in range(grid.replicates) if i not in errors]
     tests = infer._constrained_lr_many(times, Y[rows], [fits[i] for i in rows])
+    try:
+        shapes = infer._shape_tests(Y[rows], grid.shape_boot, [(*seeds[i], 1) for i in rows])
+    except RECOVERABLE:
+        shapes = [None] * len(rows)
     ok = []
-    for i, lr in zip(rows, tests):
+    for i, lr, shape in zip(rows, tests, shapes):
         fit = fits[i]
         out = {"beta_hat": float(fit.theta[3])}
         if has_trough:
@@ -251,11 +255,7 @@ def _run_scenario(
             except RECOVERABLE:
                 out["covered"] = False  # no interior extremum in the fit: CI missed
         out["lr_reject"] = None if lr is None else lr.p_value < 0.05
-        try:
-            shape = infer.shape_test(TimeSeries(times, Y[i]), n_boot=grid.shape_boot, seed=(*seeds[i], 1))
-            out["shape_reject"] = shape.p_value < 0.05
-        except RECOVERABLE:
-            out["shape_reject"] = None
+        out["shape_reject"] = None if shape is None else shape.p_value < 0.05
         ok.append(out)
     n_failed = grid.replicates - len(ok)
     degraded = n_failed > 0.2 * grid.replicates
@@ -306,13 +306,15 @@ def run_benchmark(grid: ScenarioGrid, threads: int = 1) -> BenchmarkReport:
     trough truth, |umax - n0|/umax >= 0.05); near-degenerate and correlated
     scenarios are reported but flagged.
 
-    Each scenario simulates all its replicates first and then fits them
-    together: the free two-component fits as one batch
-    (``estimate._fit_cold_many``) and, for the fits that are not monotone,
-    the constrained fits of the LR test as another
-    (``infer._constrained_lr_many``); a replicate the batch does not certify
-    is fit singly, as before. ``failures`` counts the replicates whose free
-    fit raised, by exception class.
+    Each scenario runs its replicates as batches, each replicate's numbers
+    those of a batch of it alone: it draws them all (``fisher._sample_many``,
+    each from its own seed), fits them together, the free two-component fits
+    and their reports as one batch (``estimate._fit_cold_many``) and, for
+    the fits that are not monotone, the constrained fits of the LR test as
+    another (``infer._constrained_lr_many``), and runs their shape tests as
+    one (``infer._shape_tests``); a replicate the batch does not certify is
+    fit singly, as before. ``failures`` counts the replicates whose free fit
+    raised, by exception class.
 
     ``threads`` is accepted and ignored: replicates run in one process (the work
     holds the GIL, so threads never sped it up) and output never depended on it.

@@ -5,10 +5,12 @@
 sigma 0.05 rho 0.3} x n 21/41 points on [0, 20] x 60 seeds, series s of
 a cell drawn with ``seed=(7300 + depth index, noise index, n, s)``.
 
-``tests/data/twocomp960.csv`` stores, per series, its free-fit SSE and the
-constrained LR test's reject decision at the 5% level. Its values may only
-tighten: a change that lowers a stored SSE says so. Running this file
-prints the current package's values in that file's format:
+``tests/data/twocomp960.csv`` stores, per series, its free-fit SSE, the
+constrained LR test's reject decision at the 5% level, and the least SSE
+of a nondecreasing two-component curve (the constrained fit; empty where
+the free fit is already monotone and the test fits nothing). Its values
+may only tighten: a change that lowers a stored SSE says so. Running this
+file prints the current package's values in that file's format:
 
     PYTHONPATH=src python tests/corpus.py > tests/data/twocomp960.csv
 """
@@ -29,7 +31,7 @@ NOISE = (fisher.GaussianIid(0.05), fisher.GaussianAr1(0.05, 0.3))
 SIZES = (21, 41)
 SEEDS = 60
 TWOCOMP960 = Path(__file__).parent / "data" / "twocomp960.csv"
-FIELDS = ("depth_index", "noise_index", "n", "s", "sse", "lr_reject")
+FIELDS = ("depth_index", "noise_index", "n", "s", "sse", "lr_reject", "sse_cone")
 
 
 def twocomp960():
@@ -43,23 +45,25 @@ def twocomp960():
 
 
 def fit_twocomp960():
-    """Each series' (key, free fit, constrained LR result) through the
-    batched paths, ``estimate._fit_cold_many`` and
-    ``infer._constrained_lr_many``, a cell per batch."""
+    """Each series' (key, free fit, constrained LR result, constrained SSE
+    or None) through the batched paths of ``infer._constrained_lr_many``:
+    ``estimate._fit_cold_many`` and ``estimate._monotone_sse_many``, a cell
+    per batch."""
     for key, t, Y in twocomp960():
         fits, errors = estimate._fit_cold_many(t, Y)
         assert not errors, (key, errors)
-        tests = infer._constrained_lr_many(t, Y, fits)
-        for s, (fit, lr) in enumerate(zip(fits, tests)):
-            yield (*key, s), fit, lr
+        cone, failed = infer._constrained_sse_many(t, Y, fits)
+        assert not failed, (key, failed)
+        for s, (fit, sse_c) in enumerate(zip(fits, cone)):
+            yield (*key, s), fit, infer._lr_result(len(t), fit.sse, sse_c), sse_c
 
 
-def load_twocomp960() -> dict[tuple[int, int, int, int], tuple[float, bool]]:
-    """{(depth index, noise index, n, s): (SSE, reject)} as stored."""
+def load_twocomp960() -> dict[tuple[int, int, int, int], tuple[float, bool, float | None]]:
+    """{(depth index, noise index, n, s): (SSE, reject, cone SSE or None)} as stored."""
     with open(TWOCOMP960, newline="") as fh:
         return {
             (int(r["depth_index"]), int(r["noise_index"]), int(r["n"]), int(r["s"])):
-                (float(r["sse"]), r["lr_reject"] == "1")
+                (float(r["sse"]), r["lr_reject"] == "1", float(r["sse_cone"]) if r["sse_cone"] else None)
             for r in csv.DictReader(fh)
         }
 
@@ -67,5 +71,5 @@ def load_twocomp960() -> dict[tuple[int, int, int, int], tuple[float, bool]]:
 if __name__ == "__main__":
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(FIELDS)
-    for key, fit, lr in fit_twocomp960():
-        out.writerow([*key, repr(fit.sse), int(lr.p_value < 0.05)])
+    for key, fit, lr, sse_c in fit_twocomp960():
+        out.writerow([*key, repr(fit.sse), int(lr.p_value < 0.05), "" if sse_c is None else repr(sse_c)])

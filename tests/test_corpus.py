@@ -5,8 +5,8 @@ from adoptkit import estimate
 
 
 def test_twocomp960_free_fits_and_lr_decisions(monkeypatch):
-    # the batched paths of the Monte-Carlo loop: no free-fit SSE worse than
-    # stored, every reject decision equal, and no row refit singly
+    # the batched paths of the Monte-Carlo loop: no free-fit or constrained
+    # SSE worse than stored, every reject decision equal, and no row refit singly
     fallbacks = 0
     fit_nls = estimate.fit_nls
 
@@ -17,15 +17,23 @@ def test_twocomp960_free_fits_and_lr_decisions(monkeypatch):
 
     monkeypatch.setattr(estimate, "fit_nls", counted)
     stored = corpus.load_twocomp960()
-    seen, worse, flipped = 0, [], []
-    for key, fit, lr in corpus.fit_twocomp960():
-        sse, reject = stored[key]
+    seen, worse, flipped, cone = 0, [], [], {"better": 0, "worse": 0, "equal": 0}
+    for key, fit, lr, sse_c in corpus.fit_twocomp960():
+        sse, reject, stored_c = stored[key]
         seen += 1
         if fit.sse > sse * (1.0 + 1e-9):
             worse.append((key, fit.sse, sse))
         if (lr.p_value < 0.05) != reject:
             flipped.append(key)
+        if stored_c is not None:
+            # a free fit that is monotone is its own constrained fit
+            sse_c = fit.sse if sse_c is None else sse_c
+            cone["better" if sse_c < stored_c else "worse" if sse_c > stored_c else "equal"] += 1
+            if sse_c > stored_c * (1.0 + 1e-9):
+                worse.append((key, "cone", sse_c, stored_c))
+    print(f"twocomp960 constrained SSEs against stored: {cone}")
     assert seen == len(stored) == 960
+    assert sum(cone.values()) == sum(c is not None for _, _, c in stored.values())
     assert not worse
     assert not flipped
     assert fallbacks == 0

@@ -1,7 +1,9 @@
 """Fitting, identification, and uncertainty machinery."""
 
+import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -78,7 +80,7 @@ class TestFitNls:
             return fit.sigma2 * np.linalg.inv(J.T @ J)
 
         analytic = cov(curves._gradient_values(fit.theta, series.times)[:, curves.FIT_ORDER])
-        numeric = cov(estimate._jacobian(Family.TWO_COMP, series.times, fit.theta))
+        numeric = cov(estimate._jacobian(Family.TWO_COMP, series.times, fit.theta[None])[0])
         assert np.allclose(analytic, numeric, rtol=1e-3)
         assert np.allclose(fit.cov, analytic, rtol=1e-12, atol=0.0)
 
@@ -100,7 +102,7 @@ class TestFitNls:
         # covariance without failing a fit
         series = datasets.synthetic21().series
         theta = ak.fit_nls(series, family).theta
-        J = estimate._jacobian(family, series.times, theta)
+        J = estimate._jacobian(family, series.times, theta[None])[0]
         for j in range(len(theta)):
             h = 1e-6 * max(1.0, abs(theta[j]))
             up, dn = theta.copy(), theta.copy()
@@ -793,13 +795,13 @@ class TestPolishMany:
         # pair alone, and of the batch in reverse order
         t, Y = self.cold_rows(count, seed, sigma, depth)
         starts = np.concatenate(estimate._grid_best(*estimate._grid(self.SEP, t, Y, np.zeros(2), 0), True))
-        Y2, partner = np.concatenate([Y, Y]), (np.arange(2 * count) + count) % (2 * count)
-        out = estimate._polish_many(self.SEP, t, Y2, starts, partner)
+        Y2, mates = np.concatenate([Y, Y]), ((np.arange(2 * count) + count) % (2 * count))[:, None]
+        out = estimate._polish_many(self.SEP, t, Y2, starts, mates)
         for i in range(count):
             pair = [i, i + count]
-            alone = estimate._polish_many(self.SEP, t, Y2[pair], starts[pair], np.array([1, 0]))
+            alone = estimate._polish_many(self.SEP, t, Y2[pair], starts[pair], np.array([[1], [0]]))
             assert all(a.tobytes() == b[pair].tobytes() for a, b in zip(alone, out))
-        back = estimate._polish_many(self.SEP, t, Y2[::-1], starts[::-1], 2 * count - 1 - partner[::-1])
+        back = estimate._polish_many(self.SEP, t, Y2[::-1], starts[::-1], 2 * count - 1 - mates[::-1])
         assert all(a[::-1].tobytes() == b.tobytes() for a, b in zip(back, out))
 
     def test_a_beaten_cold_start_retires(self, monkeypatch):
@@ -819,7 +821,7 @@ class TestPolishMany:
 
         monkeypatch.setattr(estimate, "_lmpar", counted)
         partner = (np.arange(2 * B) + B) % (2 * B)
-        W, S, nfev, ok = estimate._polish_many(self.SEP, t, np.concatenate([Y, Y]), starts, partner)
+        W, S, nfev, ok = estimate._polish_many(self.SEP, t, np.concatenate([Y, Y]), starts, partner[:, None])
         paired, calls[0] = calls[0], 0
         W0, S0, nfev0, ok0 = estimate._polish_many(self.SEP, t, np.concatenate([Y, Y]), starts)
         retired = (nfev != nfev0) | (S != S0) | (W != W0).any(axis=1)
@@ -845,6 +847,57 @@ class TestPolishMany:
         thetas = [ThetaTwoComp(*np.exp(rng.uniform(-1.5, 1.0, 4))) for _ in range(count)]
         starts = np.array([estimate._cone_starts(th, W, val[:, i])[i % 2] for i, th in enumerate(thetas)])
         self.assert_rows_independent(cone, t, Y, starts)
+
+    @staticmethod
+    def cone_batch(t, Y, thetas):
+        """The arguments of the one ``_polish_many`` call that
+        ``_monotone_sse_many`` makes: three starts per row, with mates."""
+        with mock.patch.object(estimate, "_polish_many", wraps=estimate._polish_many) as polish:
+            estimate._monotone_sse_many(t, Y, thetas)
+        return polish.call_args_list[0].args
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(count=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           sigma=st.sampled_from([0.02, 0.05, 0.2]), depth=st.sampled_from([0.0, 0.2, 0.4]))
+    def test_cone_groups_do_not_depend_on_their_batch(self, count, seed, sigma, depth):
+        # with each start's two group-mates, a group's bytes and flags are
+        # those of a batch of that group alone and of the reversed batch, and
+        # its least SSE is that of the batch without mates
+        t, Y = self.cold_rows(count, seed, sigma, depth)
+        rng = np.random.default_rng(seed)
+        thetas = [ThetaTwoComp(*np.exp(rng.uniform(-1.5, 1.0, 4))) for _ in range(count)]
+        cone, _, Y3, starts, mates, margin = self.cone_batch(t, Y, thetas)
+        out = estimate._polish_many(cone, t, Y3, starts, mates, margin)
+        for g in range(count):
+            group = slice(3 * g, 3 * g + 3)
+            alone = estimate._polish_many(cone, t, Y3[group], starts[group], mates[group] - 3 * g, margin)
+            assert all(a.tobytes() == b[group].tobytes() for a, b in zip(alone, out))
+        back = estimate._polish_many(cone, t, Y3[::-1], starts[::-1], 3 * count - 1 - mates[::-1], margin)
+        assert all(a[::-1].tobytes() == b.tobytes() for a, b in zip(back, out))
+        _, S0, _, ok0 = estimate._polish_many(cone, t, Y3, starts)
+        both = out[3].reshape(-1, 3).all(axis=1) & ok0.reshape(-1, 3).all(axis=1)
+        least = out[1].reshape(-1, 3).min(axis=1)[both]
+        assert least == pytest.approx(S0.reshape(-1, 3).min(axis=1)[both], rel=1e-12, abs=0.0)
+
+    def test_a_cone_start_that_cannot_improve_retires(self):
+        # deep troughs under AR(1) noise, the slowest cone batches: with mates
+        # the batch takes fewer steps, and each series' least SSE is unchanged
+        t = np.linspace(0.0, 20.0, 21)
+        Y = fisher._sample_many(simgen.theta_for_depth(0.4), t, fisher.GaussianAr1(0.05, 0.3),
+                                [np.random.default_rng((67, s)) for s in range(15)])
+        fits, _ = estimate._fit_cold_many(t, Y)
+        free = [i for i, fit in enumerate(fits) if not curves.monotone_condition(fit.theta_two_comp())]
+        assert len(free) == 15
+        args = self.cone_batch(t, Y, [fit.theta_two_comp() for fit in fits])
+        calls, least = [], []
+        for extra in (args[4:], ()):
+            with mock.patch.object(estimate, "_lmpar", wraps=estimate._lmpar) as lmpar:
+                _, S, _, ok = estimate._polish_many(*args[:4], *extra)
+            assert ok.all()
+            calls.append(lmpar.call_count)
+            least.append(S.reshape(-1, 3).min(axis=1))
+        assert calls[0] < calls[1]
+        assert least[0] == pytest.approx(least[1], rel=1e-12, abs=0.0)
 
     def test_certified_cold_and_cone_rows_match_the_per_row_fits(self, monkeypatch):
         # seeded trough and boundary series: no SSE of the batch paths may be
@@ -895,9 +948,9 @@ class TestPolishMany:
         # ftol stop (a step with ||J p||^2 <= 1e-12 SSE), at most ~3e-6 here.
         batches, polish = [], estimate._polish_many
 
-        def captured(sep, t, Y, w0, partner=None):
+        def captured(sep, t, Y, w0, mates=None, margin=1.0 + 1e-6):
             batches.append((sep, t, Y, w0))
-            return polish(sep, t, Y, w0, partner)
+            return polish(sep, t, Y, w0, mates, margin)
 
         monkeypatch.setattr(estimate, "_polish_many", captured)
         for s in range(4):
@@ -930,6 +983,126 @@ class TestPolishMany:
             assert split(S).min(axis=1)[both] == pytest.approx(split(Sr).min(axis=1)[both], rel=1e-12, abs=0.0)
         for kind, (differ, rows) in flags.items():
             assert rows >= 400 and differ <= 0.01 * rows, kind
+
+
+# ``fit_nls``'s report rule and its Jacobian as they were, one fit per call,
+# before the reports were taken in batches: kept verbatim as the oracle of
+# ``estimate._fit_reports``.
+
+
+def jacobian_reference(family: Family, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """d curve / d theta at ``t``, shape (n, k): column j is Im f(theta + i*h*e_j) / h,
+    exact to rounding because ``curves._eval_values`` is complex-analytic."""
+    h = 1e-30
+    # row i: parameter i in each of the k steps, a column against t
+    steps = theta[:, None] + 1j * h * np.eye(len(theta))
+    return curves._eval_values(family, steps[..., None], t).imag.T / h
+
+
+def fit_report_reference(family: Family, t: np.ndarray, y: np.ndarray, theta: np.ndarray, nfev: int,
+                         degenerate: bool = False, tol: float = 1e-6) -> estimate.FitReport:
+    """``fit_nls``'s report of the fit ``theta`` of ``y`` on the times ``t``:
+    residuals, AIC, covariance, the flags and the stationarity check, or
+    SingularJacobian for a singular exact fit."""
+    k, n = len(theta), len(t)
+    fitted = curves._eval_values(family, theta, t)
+    e = y - fitted
+    sse = float(np.dot(e, e))
+    msr = sse / n
+    aic = 2.0 * k + n * (math.log(msr) if msr > 0 else -math.inf)
+    sigma2 = sse / (n - k)
+
+    J = jacobian_reference(family, t, theta)
+    jtj = J.T @ J
+    cond = float(np.linalg.cond(jtj))
+    scale = max(1.0, float(np.max(np.abs(y))))
+    singular = not np.isfinite(cond) or cond > estimate.COND_SINGULAR
+    if singular and msr < (1e-8 * scale) ** 2:
+        raise SingularJacobian(
+            f"J'J condition number {cond:.3g} with an exact fit: the data "
+            "admit a continuum of perfect fits (e.g. a constant series)",
+            condition=cond,
+        )
+    if singular:
+        cov = sigma2 * np.linalg.pinv(jtj, hermitian=True)
+    else:
+        cov = sigma2 * np.linalg.inv(jtj)
+    cov = 0.5 * (cov + cov.T)
+
+    chain = np.where(curves.FAMILY_POSITIVE[family], theta, 1.0)
+    grad = 2.0 * (J * chain).T @ e
+    grad_norm = float(np.linalg.norm(grad))
+    converged = not degenerate and grad_norm < tol * (1.0 + sse)
+    return estimate.FitReport(
+        family=family,
+        theta=theta,
+        cov=cov,
+        residuals=e,
+        sigma2=float(sigma2),
+        aic=float(aic),
+        converged=bool(converged),
+        n_iter=int(nfev),
+        jtj_condition=cond,
+        cov_unreliable=bool(degenerate or singular or cond > estimate.COND_UNRELIABLE),
+        grad_norm=grad_norm,
+        singular=bool(singular),
+    )
+
+
+def report_bytes(report: estimate.FitReport) -> list:
+    """Every field of a report: arrays as bytes, the rest by repr (type included)."""
+    return [(v.shape, v.tobytes()) if isinstance(v, np.ndarray) else repr(v)
+            for v in (getattr(report, f.name) for f in dataclasses.fields(report))]
+
+
+class TestFitReports:
+    """``estimate._fit_reports``: each row's report is that of a batch of it
+    alone and that of the one-fit rule it replaced, byte for byte."""
+
+    def test_rows_match_one_row_batches_and_the_reference(self):
+        t = np.linspace(0.0, 20.0, 41)
+        Y, Theta = [], []
+        for s in range(6):
+            y = simgen.gen_series(simgen.theta_for_depth(0.1 * s), fisher.GaussianIid(0.05), 41, 20.0, seed=(64, s)).values
+            Y.append(y)
+            Theta.append(estimate.fit_nls(TimeSeries(t, y)).theta)
+        # umax = 0: the beta column is 0 and J'J singular, fitted with noise (pinv) and
+        # exactly (raises); with n0 = 1e308 the alpha column overflows and J'J has a NaN (raises)
+        flat = np.array([1.0, 0.5, 0.0, 0.3])
+        exact = ak.eval_curve(ThetaTwoComp(*flat), t)
+        Y += [exact + 0.01 * np.random.default_rng(64).standard_normal(41), exact, exact]
+        Theta += [flat, flat, np.array([1e308, 1e-3, 0.0, 0.3])]
+        Y, Theta, nfev = np.array(Y), np.array(Theta), np.arange(30, 39)
+        raised = {7: SingularJacobian, 8: np.linalg.LinAlgError}
+        with np.errstate(all="ignore"):
+            reports, errors = estimate._fit_reports(Family.TWO_COMP, t, Y, Theta, nfev)
+            assert {i: type(exc) for i, exc in errors.items()} == raised
+            assert reports[6].singular and reports[7] is None and reports[8] is None
+            for i in range(len(Y)):
+                alone, alone_errors = estimate._fit_reports(Family.TWO_COMP, t, Y[i : i + 1], Theta[i : i + 1],
+                                                            nfev[i : i + 1])
+                if i in raised:
+                    assert isinstance(alone_errors[0], raised[i])
+                    with pytest.raises(raised[i]):
+                        fit_report_reference(Family.TWO_COMP, t, Y[i], Theta[i], int(nfev[i]))
+                    continue
+                expected = report_bytes(reports[i])
+                assert report_bytes(alone[0]) == expected
+                assert report_bytes(fit_report_reference(Family.TWO_COMP, t, Y[i], Theta[i], int(nfev[i]))) == expected
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_every_family_matches_the_reference(self, family, degenerate):
+        series = datasets.synthetic21().series
+        fit = estimate.fit_nls(series, family)
+        # fit_nls's own report: the double exponential is flagged here only on its edge
+        assert report_bytes(fit) == report_bytes(
+            fit_report_reference(family, series.times, series.values, fit.theta, fit.n_iter,
+                                 family == Family.DOUBLE_EXP and not fit.converged))
+        reports, _ = estimate._fit_reports(family, series.times, series.values[None], fit.theta[None],
+                                           [fit.n_iter], degenerate)
+        assert report_bytes(reports[0]) == report_bytes(
+            fit_report_reference(family, series.times, series.values, fit.theta, fit.n_iter, degenerate))
 
 
 class TestLmpar:

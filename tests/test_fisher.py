@@ -238,6 +238,47 @@ class TestSampling:
         assert np.std(noise) == pytest.approx(0.3, rel=0.05)
 
 
+    @staticmethod
+    def reference(theta, times, em, rng):
+        """One draw as it was made before the draws ran in batches."""
+        mean = ak.eval_curve(theta, times)
+        if isinstance(em, GaussianIid):
+            return mean + em.sigma * rng.standard_normal(len(times))
+        if isinstance(em, GaussianAr1):
+            z = rng.standard_normal(len(times))
+            e = np.empty(len(times))
+            e[0] = em.sigma * z[0]
+            innov = em.sigma * math.sqrt(1.0 - em.rho**2)
+            for i in range(1, len(times)):
+                e[i] = em.rho * e[i - 1] + innov * z[i]
+            return mean + e
+        if isinstance(em, PoissonCounts):
+            return rng.poisson(em.kappa * mean).astype(float)
+        trials = np.broadcast_to(np.asarray(em.trials), times.shape)
+        return rng.binomial(trials, mean / em.m).astype(float)
+
+    @pytest.mark.parametrize("em", [GaussianIid(0.05), GaussianAr1(0.05, 0.3), PoissonCounts(20.0),
+                                    BinomialCounts(6.0, np.arange(1, 22))])
+    def test_batch_rows_match_single_draws(self, em):
+        # each row draws from its own generator: its bytes are those of
+        # sample_observations and of the per-draw rule it replaced
+        times = np.linspace(0.0, 20.0, 21)
+        Y = fisher._sample_many(THETA, times, em, [np.random.default_rng((66, s)) for s in range(9)])
+        assert Y.shape == (9, 21) and Y.dtype == float
+        for s, y in enumerate(Y):
+            assert y.tobytes() == sample_observations(THETA, times, em, np.random.default_rng((66, s))).tobytes()
+            assert y.tobytes() == self.reference(THETA, times, em, np.random.default_rng((66, s))).tobytes()
+
+    @pytest.mark.parametrize("em, error", [(PoissonCounts(5.0), PoissonBoundary), (BinomialCounts(2.5), BinomialBoundary)])
+    def test_a_boundary_batch_raises_as_one_draw_does(self, em, error):
+        # n0 = 0 puts A(0) = 0 on the Poisson boundary; A(20) ~ 2.9 > 2.5 = m on the binomial one
+        theta, times = ThetaTwoComp(0.0, 0.8, 3.0, 0.25), np.linspace(0.0, 20.0, 21)
+        with pytest.raises(error):
+            fisher._sample_many(theta, times, em, [np.random.default_rng(s) for s in range(3)])
+        with pytest.raises(error):
+            sample_observations(theta, times, em, np.random.default_rng(0))
+
+
 class TestCrlbCheck:
     def test_ratios_near_one_and_thread_invariant(self):
         times = np.linspace(0, 20, 41)

@@ -286,6 +286,41 @@ class TestShapeTest:
             assert res.p_value == (1.0 + count) / 301.0
 
 
+    @staticmethod
+    def reference(y, n_boot, seed, window=3):
+        """The one-series p-value as it was computed before the tests ran in batches."""
+        s_obs = float(np.min(y[window:] - y[:-window]))
+        fit = infer.isotonic_fit(y)
+        ystar = fit + np.random.default_rng(seed).choice(y - fit, size=(n_boot, len(y)), replace=True)
+        s_boot = np.min(ystar[:, window:] - ystar[:, :-window], axis=1)
+        return s_obs, (1.0 + int(np.count_nonzero(s_boot <= s_obs))) / (1.0 + n_boot)
+
+    @pytest.mark.parametrize("n, window", [(21, 3), (21, 1), (41, 3), (41, 6)])
+    def test_batch_rows_match_single_series(self, n, window):
+        # the Monte-Carlo loop's batch: each row keeps its own seed, and its
+        # statistic and p-value are those of the series alone, in any order
+        # monotone and deep-trough truths in turn, so that both decisions occur
+        t = np.linspace(0.0, 20.0, n)
+        Y = np.array([simgen.gen_series(simgen.theta_for_depth(0.4 * (s % 2)), fisher.GaussianIid(0.02), n, 20.0,
+                                        seed=(65, s)).values for s in range(12)])
+        seeds = [(65, s, 1) for s in range(12)]
+        batch = infer._shape_tests(Y, 150, seeds, window)
+        back = infer._shape_tests(Y[::-1], 150, seeds[::-1], window)[::-1]
+        assert batch == back
+        for y, seed, res in zip(Y, seeds, batch):
+            assert res == infer.shape_test(TimeSeries(t, y), n_boot=150, seed=seed, window=window)
+            assert (res.statistic, res.p_value) == self.reference(y, 150, seed, window)
+            assert type(res.statistic) is float and type(res.p_value) is float
+        assert sum(res.p_value < 0.05 for res in batch) not in (0, len(batch))
+
+    def test_a_too_short_batch_raises_as_one_series_does(self):
+        Y = np.ones((3, 7)) + np.arange(7)
+        with pytest.raises(TooShort):
+            infer._shape_tests(Y, 10, [0, 1, 2])
+        with pytest.raises(TooShort):
+            infer.shape_test(TimeSeries(np.arange(7.0), Y[0]), n_boot=10)
+
+
 class TestIsotonicFit:
     def test_pools_adjacent_violators(self):
         assert infer.isotonic_fit([3.0, 1.0, 2.0]).tolist() == [2.0, 2.0, 2.0]
