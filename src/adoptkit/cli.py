@@ -3,8 +3,8 @@
 Subcommands: fit, phase, crlb, test, compare, threshold, simulate, benchmark,
 pilot. Every command is a deterministic function of (flags, input files,
 seed) and prints canonical JSON (or CSV for ``simulate``); repeated runs are
-byte-identical. Exit status: 0 success, 2 validation error, 3 numerical
-failure.
+byte-identical. Exit status: 0 success, 2 validation error (a malformed
+flag too: argparse exits 2), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import curves, datasets, econ, estimate, fisher, infer, jsonio, simgen
 from .curves import Family, ThetaTwoComp
-from .errors import AdoptkitError, NumericalError, ValidationError
+from .errors import AdoptkitError, NumericalError, ParseError, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -29,6 +29,18 @@ def _load_series(spec: str, t_col: str, y_col: str, dow_col: str | None) -> esti
     if spec.startswith("builtin:"):
         return datasets.load_builtin(spec.split(":", 1)[1]).series
     return jsonio.load_csv(spec, t_col=t_col, y_col=y_col, dow_col=dow_col)
+
+
+def _floats(text: str) -> list[float]:
+    """An argparse type: comma-separated numbers, empty items skipped."""
+    return [float(v) for v in text.split(",") if v.strip() != ""]
+
+
+def _seed(text: str) -> int:
+    """An argparse type: an RNG seed, an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not an integer >= 0: {text!r}")
+    return int(text)
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -83,10 +95,7 @@ def _emit_json(payload, out: str | None) -> None:
 
 def cmd_fit(args) -> int:
     series = _load_series(args.data, args.t_col, args.y_col, args.dow_col)
-    init = None
-    if args.init:
-        init = [float(v) for v in args.init.split(",")]
-    fit = estimate.fit_nls(series, args.family, init=init, max_iter=args.max_iter, tol=args.tol)
+    fit = estimate.fit_nls(series, args.family, init=args.init or None, max_iter=args.max_iter, tol=args.tol)
     _emit_json(fit.to_dict(), args.out)
     return EXIT_OK
 
@@ -112,10 +121,7 @@ def cmd_phase(args) -> int:
 
 def cmd_crlb(args) -> int:
     theta = ThetaTwoComp(args.n0, args.alpha, args.umax, args.beta)
-    if args.times:
-        times = np.array([float(v) for v in args.times.split(",")])
-    else:
-        times = np.linspace(0.0, args.horizon, args.n_points)
+    times = np.array(args.times) if args.times else np.linspace(0.0, args.horizon, args.n_points)
     report = fisher.info_matrix(theta, times, _error_model(args))
     _emit_json(report, args.out)
     return EXIT_OK
@@ -225,6 +231,8 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_benchmark_config(path: str) -> dict:
+    if not Path(path).is_file():
+        raise ParseError(f"no such file: {path}")
     cfg: dict[str, str] = {}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -237,19 +245,22 @@ def _parse_benchmark_config(path: str) -> dict:
     return cfg
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
-
-
 def cmd_benchmark(args) -> int:
     cfg = _parse_benchmark_config(args.config) if args.config else {}
-    depths = _floats(cfg.get("depths", "0,0.1,0.2,0.3"))
-    sigmas = _floats(cfg.get("sigmas", "0.02,0.05,0.1"))
-    rhos = _floats(cfg.get("rhos", "0,0.3,0.6"))
-    ns = [int(v) for v in _floats(cfg.get("n_points", "21,41"))]
-    alpha = float(cfg.get("alpha", 0.8))
-    beta = float(cfg.get("beta", 0.25))
-    umax = float(cfg.get("umax", 2.0))
+
+    def value(key: str, default, convert):
+        try:
+            return convert(cfg.get(key, default))
+        except (ValueError, OverflowError):  # the defaults convert
+            raise ValidationError(f"config key {key!r}: invalid value {cfg[key]!r}") from None
+
+    depths = value("depths", "0,0.1,0.2,0.3", _floats)
+    sigmas = value("sigmas", "0.02,0.05,0.1", _floats)
+    rhos = value("rhos", "0,0.3,0.6", _floats)
+    ns = value("n_points", "21,41", lambda text: [int(v) for v in _floats(text)])
+    alpha = value("alpha", 0.8, float)
+    beta = value("beta", 0.25, float)
+    umax = value("umax", 2.0, float)
     grid = simgen.ScenarioGrid(
         thetas=tuple(simgen.theta_for_depth(d, alpha=alpha, beta=beta, umax=umax) for d in depths),
         error_models=tuple(
@@ -257,10 +268,10 @@ def cmd_benchmark(args) -> int:
             for s in sigmas for r in rhos
         ),
         n_points=tuple(ns),
-        horizon=float(cfg.get("horizon", 20.0)),
-        replicates=int(cfg.get("replicates", 200)),
-        seed=int(cfg.get("seed", args.seed)),
-        shape_boot=int(cfg.get("shape_boot", 200)),
+        horizon=value("horizon", 20.0, float),
+        replicates=value("replicates", 200, int),
+        seed=value("seed", args.seed, int),
+        shape_boot=value("shape_boot", 200, int),
     )
     report = simgen.run_benchmark(grid, threads=args.threads)
     _emit_json(report, args.out)
@@ -321,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit one curve family to a series")
     _add_data_args(p)
     p.add_argument("--family", default="twocomp", choices=[f.value for f in Family])
-    p.add_argument("--init", default=None, help="comma-separated start values")
+    p.add_argument("--init", type=_floats, default=None, help="comma-separated start values")
     p.add_argument("--max-iter", type=int, default=1000, help="LM iteration budget")
     p.add_argument("--tol", type=float, default=1e-6, help="stationarity tolerance")
     p.add_argument("--out", default=None, help="also write JSON to this path")
@@ -335,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crlb", help="Fisher information and profiled CRLBs for a design")
     _add_theta_args(p)
     _add_em_args(p)
-    p.add_argument("--times", default=None, help="comma-separated design times")
+    p.add_argument("--times", type=_floats, default=None, help="comma-separated design times")
     p.add_argument("--n-points", type=int, default=21, help="equispaced design size")
     p.add_argument("--horizon", type=float, default=20.0, help="equispaced design horizon")
     p.add_argument("--out", default=None, help="also write JSON to this path")
@@ -349,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family-b", default="bass", choices=[f.value for f in Family],
                    help="vuong: model b")
     p.add_argument("--n-boot", type=int, default=1000, help="shape-test bootstrap resamples")
-    p.add_argument("--seed", type=int, default=0, help="bootstrap seed")
+    p.add_argument("--seed", type=_seed, default=0, help="bootstrap seed")
     p.add_argument("--out", default=None, help="also write JSON to this path")
     p.set_defaults(func=cmd_test)
 
@@ -380,20 +391,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_em_args(p)
     p.add_argument("--n-points", type=int, default=21, help="number of points")
     p.add_argument("--horizon", type=float, default=20.0, help="time horizon")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed")
     p.add_argument("--out", default=None, help="also write CSV to this path")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("benchmark", help="coverage/type-I/power benchmark over a scenario grid")
     p.add_argument("--config", default=None, help="key = value grid file (# comments)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (config overrides)")
+    p.add_argument("--seed", type=_seed, default=0, help="master seed (config overrides)")
     p.add_argument("--threads", type=int, default=1, help="accepted and ignored (output-invariant)")
     p.add_argument("--out", default=None, help="also write JSON to this path")
     p.add_argument("--out-csv", default=None, help="write per-scenario rows as CSV here")
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("pilot", help="chat-vs-agent pilot simulation")
-    p.add_argument("--seed", type=int, default=42, help="RNG seed")
+    p.add_argument("--seed", type=_seed, default=42, help="RNG seed")
     p.add_argument("--n-tasks", type=int, default=200, help="number of tasks")
     p.add_argument("--out", default=None, help="also write JSON to this path")
     p.set_defaults(func=cmd_pilot)

@@ -266,10 +266,13 @@ def threshold_uncertainty(
     z_{1-a/2} |K| sigma_mu / mu_C^2. The robust threshold replaces mu_C with
     the one-sided lower bound mu_C - z_{1-a} sigma_mu; with bounded C_f in
     [0, c_max] and a sample size n, the distribution-free Hoeffding floor
-    mu_C - c_max*sqrt(log(1/a)/(2n)) is reported as well.
+    mu_C - c_max*sqrt(log(1/a)/(2n)) is reported as well. Raises
+    ValidationError for a negative sigma_mu or a level outside (0, 1).
     """
     if sigma_mu < 0:
         raise ValidationError("sigma_mu must be nonnegative")
+    if not 0.0 < level < 1.0:
+        raise ValidationError(f"level must be in (0, 1), got {level}")
     r_star = agency_threshold(r_chat, delta_tau, delta_phi, c_time, c_fric, mu_c)
     k = c_time * delta_tau + c_fric * delta_phi
     variance = (k / mu_c**2) ** 2 * sigma_mu**2

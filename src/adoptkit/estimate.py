@@ -371,40 +371,23 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev:
     return min(done, key=lambda r: r.cost)
 
 
-def _monotone_sse(t: np.ndarray, y: np.ndarray, theta: ThetaTwoComp) -> float:
-    """The least SSE of a nondecreasing two-component curve, polished by
-    ``_fit_coords`` from ``theta`` (a free fit; on the alpha = beta limit if
-    alpha <= beta) and the two best local minima of the start grid. Both
-    limits are flat in w: a polish heading for one crawls, a start on one
-    gives its value exactly. Raises NonConvergence when no polish ends
-    within 5000 evaluations."""
-    starts = _cone_starts(theta, *_grid(_MONOTONE_CONE, t, y, np.zeros(2), 0))
-    return 2.0 * _fit_coords(_MONOTONE_CONE, t, y, starts, 5000).cost
-
-
 def _cone_free(theta: ThetaTwoComp) -> list[float]:
     """A free fit's cone coordinates, on the alpha = beta limit if alpha <= beta."""
     gap = theta.alpha - theta.beta
     return [math.log(theta.beta), math.log(gap) if gap > 0 else -40.0]
 
 
-def _cone_starts(theta: ThetaTwoComp, W: np.ndarray, val: np.ndarray) -> list[np.ndarray]:
-    """``_monotone_sse``'s starts from the free fit and the cone's grid."""
-    minima, k = _grid_minima(W, val[:, None], 2)
-    return [np.array(_cone_free(theta)), *minima[: k[0], 0]]
-
-
 def _monotone_sse_many(t: np.ndarray, Y: np.ndarray, thetas: list[ThetaTwoComp]):
-    """``_monotone_sse`` of each row of ``Y`` (shape (B, n)) and its free
-    fit ``thetas[i]``, as one batch. All rows' starts are polished by one
-    ``_polish_many`` over the cone, whose columns stay exact at the clip
-    limits. Each start has its series' other two as mates, with margin
-    1 - 1e-6: only the least SSE of the three is kept, so a start retires as
-    soon as its model minimum shows it cannot get below a certified mate's
-    SSE (a slow start that heads for a mate's point stops early). A row with
-    every start certified gets the least SSE; the others go to
-    ``_monotone_sse``. Returns (SSE, {row: exception class name} of the rows
-    that raised)."""
+    """The least SSE of a nondecreasing two-component curve for each row of
+    ``Y`` (shape (B, n)), from its free fit ``thetas[i]`` (on the alpha = beta
+    limit if alpha <= beta) and the two best local minima of its grid. Both
+    limits are flat in w: a polish heading for one crawls, a start on one
+    gives its value exactly. One ``_polish_many`` over the cone, exact at the
+    clip limits, polishes all starts, each with its series' other two as
+    mates and margin 1 - 1e-6 (only their least SSE is kept). A row with an
+    uncertified start is polished from its own starts by ``_fit_coords``
+    (NonConvergence when none ends within 5000 evaluations). A row's numbers
+    do not depend on its batch. Returns (SSE, {row: exception raised})."""
     B = len(Y)
     W, val = _grid(_MONOTONE_CONE, t, Y, np.zeros(2), 0)
     minima, k = _grid_minima(W, val, 2)
@@ -418,9 +401,10 @@ def _monotone_sse_many(t: np.ndarray, Y: np.ndarray, thetas: list[ThetaTwoComp])
     errors = {}
     for i in np.flatnonzero(~certified):
         try:
-            sse[i] = _monotone_sse(t, Y[i], thetas[i])
+            own = list(starts[3 * i : 3 * i + 1 + k[i]])  # the repeated start dropped
+            sse[i] = 2.0 * _fit_coords(_MONOTONE_CONE, t, Y[i], own, 5000).cost
         except RECOVERABLE as exc:
-            errors[int(i)] = type(exc).__name__
+            errors[int(i)] = exc
     return sse, errors
 
 
@@ -482,10 +466,12 @@ def fit_nls(
     is also exact to machine precision (e.g. a constant series), which raises
     SingularJacobian: such data admit a continuum of perfect fits. Raises
     InsufficientData, NonConvergence (iteration budget exhausted), or
-    ValidationError for an ``init`` that is not finite or has a parameter
-    iterated on the log scale at or below 0.
+    ValidationError for ``max_iter`` below 1 or an ``init`` that is not
+    finite or has a parameter iterated on the log scale at or below 0.
     """
     family = Family(family)
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     k = curves.family_arity(family)
     t, y = series.times, series.values
     n = len(series)

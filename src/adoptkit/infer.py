@@ -136,9 +136,9 @@ def constrained_lr(
     The monotone (nondecreasing) curves form a cone: with alpha >= beta, the
     nonnegative combinations of two columns over w = (log beta,
     log(alpha - beta)) (``estimate._MonotoneCone``). So the constrained SSE
-    is a variable-projection fit (``estimate._monotone_sse``). A free fit
-    that is already monotone (``curves.monotone_condition``) gives
-    Lambda = 0 with no solve.
+    is a variable-projection fit, the one-row case of the Monte-Carlo loop's
+    batch (``_constrained_sse_many``). A free fit that is already monotone
+    (``curves.monotone_condition``) gives Lambda = 0 with no solve.
 
     Lambda = n * log(SSE_constrained / SSE_free), reported as 0 (p = 1) when
     the log-ratio is at most the solve's SSE resolution
@@ -155,22 +155,16 @@ def constrained_lr(
     """
     if fit is None:
         fit = estimate.fit_nls(series, Family.TWO_COMP)
-    th = fit.theta_two_comp()
-    sse_c = None if curves.monotone_condition(th) else estimate._monotone_sse(series.times, series.values, th)
+    (sse_c,), errors = _constrained_sse_many(series.times, series.values[None], [fit])
+    if errors:
+        raise errors[0]
     return _lr_result(len(series), fit.sse, sse_c)
 
 
-def _constrained_lr_many(t: np.ndarray, Y: np.ndarray, fits: list) -> list[TestResult | None]:
-    """``constrained_lr(TimeSeries(t, y), fit)`` of each row y of ``Y`` and
-    its free fit, with the constrained fits as one batch
-    (``estimate._monotone_sse_many``); None where that fit raises."""
-    sse_c, failed = _constrained_sse_many(t, Y, fits)
-    return [None if i in failed else _lr_result(len(t), fit.sse, sse_c[i]) for i, fit in enumerate(fits)]
-
-
-def _constrained_sse_many(t: np.ndarray, Y: np.ndarray, fits: list) -> tuple[list, set[int]]:
-    """The constrained SSE of each row of ``Y`` given its free fit, None
-    where that fit is monotone, and the rows whose constrained fit raised."""
+def _constrained_sse_many(t: np.ndarray, Y: np.ndarray, fits: list) -> tuple[list, dict[int, Exception]]:
+    """Each row's constrained SSE given its free fit, None where that fit is
+    monotone, the others as one ``estimate._monotone_sse_many`` batch; and
+    {row: exception raised}. ValidationError for a fit of another family."""
     thetas = [fit.theta_two_comp() for fit in fits]
     rows = [i for i, th in enumerate(thetas) if not curves.monotone_condition(th)]
     sse_c, errors = [None] * len(fits), {}
@@ -178,7 +172,7 @@ def _constrained_sse_many(t: np.ndarray, Y: np.ndarray, fits: list) -> tuple[lis
         sse, errors = estimate._monotone_sse_many(t, Y[rows], [thetas[i] for i in rows])
         for i, value in zip(rows, sse.tolist()):
             sse_c[i] = value
-    return sse_c, {rows[j] for j in errors}
+    return sse_c, {rows[j]: exc for j, exc in errors.items()}
 
 
 def _lr_result(n: int, sse_u: float, sse_c: float | None) -> TestResult:

@@ -144,7 +144,8 @@ def theta_for_depth(
 
 @dataclass(frozen=True)
 class ScenarioGrid:
-    """Cross product of truths, error models, and design sizes."""
+    """Cross product of truths, error models, and design sizes; ValidationError
+    for replicates or shape_boot below 1, a negative seed or n_points below 5."""
 
     thetas: tuple[ThetaTwoComp, ...]
     error_models: tuple[ErrorModel, ...]
@@ -162,8 +163,8 @@ class ScenarioGrid:
             (self.n_points,) if isinstance(self.n_points, (int, np.integer)) else self.n_points
         ))
         object.__setattr__(self, "n_points", ns)
-        if self.replicates < 1:
-            raise ValidationError("replicates must be >= 1")
+        if self.replicates < 1 or self.shape_boot < 1 or self.seed < 0:
+            raise ValidationError("replicates and shape_boot must be >= 1 and seed >= 0")
         if any(n < 5 for n in ns):
             raise ValidationError("n_points must be >= 5")
 
@@ -239,13 +240,13 @@ def _run_scenario(
     Y = fisher._sample_many(theta, times, em, [np.random.default_rng(s) for s in seeds])
     fits, errors = estimate._fit_cold_many(times, Y)
     rows = [i for i in range(grid.replicates) if i not in errors]
-    tests = infer._constrained_lr_many(times, Y[rows], [fits[i] for i in rows])
+    sse_c, lr_errors = infer._constrained_sse_many(times, Y[rows], [fits[i] for i in rows])
     try:
         shapes = infer._shape_tests(Y[rows], grid.shape_boot, [(*seeds[i], 1) for i in rows])
     except RECOVERABLE:
         shapes = [None] * len(rows)
     ok = []
-    for i, lr, shape in zip(rows, tests, shapes):
+    for j, (i, shape) in enumerate(zip(rows, shapes)):
         fit = fits[i]
         out = {"beta_hat": float(fit.theta[3])}
         if has_trough:
@@ -254,6 +255,7 @@ def _run_scenario(
                 out["covered"] = delta.ci[0] <= t_true <= delta.ci[1]
             except RECOVERABLE:
                 out["covered"] = False  # no interior extremum in the fit: CI missed
+        lr = None if j in lr_errors else infer._lr_result(n_points, fit.sse, sse_c[j])
         out["lr_reject"] = None if lr is None else lr.p_value < 0.05
         out["shape_reject"] = None if shape is None else shape.p_value < 0.05
         ok.append(out)
@@ -311,10 +313,10 @@ def run_benchmark(grid: ScenarioGrid, threads: int = 1) -> BenchmarkReport:
     each from its own seed), fits them together, the free two-component fits
     and their reports as one batch (``estimate._fit_cold_many``) and, for
     the fits that are not monotone, the constrained fits of the LR test as
-    another (``infer._constrained_lr_many``), and runs their shape tests as
-    one (``infer._shape_tests``); a replicate the batch does not certify is
-    fit singly, as before. ``failures`` counts the replicates whose free fit
-    raised, by exception class.
+    another (``infer._constrained_sse_many``, then ``infer._lr_result``), and
+    runs their shape tests as one (``infer._shape_tests``); a replicate the
+    batch does not certify is fit singly. ``failures`` counts the replicates
+    whose free fit raised, by exception class.
 
     ``threads`` is accepted and ignored: replicates run in one process (the work
     holds the GIL, so threads never sped it up) and output never depended on it.

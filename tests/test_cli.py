@@ -277,6 +277,35 @@ class TestSimulateAndIo:
         const.write_text("t,y\n" + "".join(f"{i},2.0\n" for i in range(12)))
         code, _ = run_cli(capsys, ["fit", "--data", str(const)])
         assert code == 3
+        # malformed flags and config files exit 2 with a message, no traceback
+        for name, text in [("reps.cfg", "replicates = abc\n"), ("depths.cfg", "depths = 0,x\n")]:
+            (tmp_path / name).write_text(text)
+        theta = ["--n0", "1", "--alpha", "0.8", "--umax", "2", "--beta", "0.25"]
+        for argv in [
+            ["fit", "--data", "builtin:synthetic21", "--init", "a,b,c,d"],
+            ["crlb", *theta, "--times", "0,x"],
+            ["benchmark", "--config", str(tmp_path / "reps.cfg")],
+            ["benchmark", "--config", str(tmp_path / "depths.cfg")],
+            ["benchmark", "--config", str(tmp_path / "missing.cfg")],
+            ["test", "--data", "builtin:synthetic21", "--seed", "-1"],
+            ["simulate", *theta, "--seed", "-1"],
+            ["pilot", "--seed", "-1"],
+            ["benchmark", "--seed", "-1"],
+            ["threshold", "--r-chat", "0.5", "--delta-tau", "0.3", "--delta-phi", "0.1",
+             "--mu-c", "1", "--sigma-mu", "0.05", "--level", "1.5"],
+        ]:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's own exit
+                code = exc.code
+            err = capsys.readouterr().err
+            assert code == 2 and "error:" in err and "Traceback" not in err, argv
+        # and through the interpreter, where a traceback would show
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "adoptkit.cli", "fit", "--data", "builtin:synthetic21",
+                               "--init", "a,b,c,d"], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 2 and "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestBenchmarkCommand:

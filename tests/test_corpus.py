@@ -4,7 +4,7 @@ import corpus
 from adoptkit import estimate
 
 
-def test_twocomp960_free_fits_and_lr_decisions(monkeypatch):
+def check_corpus(name, count, monkeypatch):
     # the batched paths of the Monte-Carlo loop: no free-fit or constrained
     # SSE worse than stored, every reject decision equal, and no row refit singly
     fallbacks = 0
@@ -16,11 +16,14 @@ def test_twocomp960_free_fits_and_lr_decisions(monkeypatch):
         return fit_nls(*args, **kwargs)
 
     monkeypatch.setattr(estimate, "fit_nls", counted)
-    stored = corpus.load_twocomp960()
-    seen, worse, flipped, cone = 0, [], [], {"better": 0, "worse": 0, "equal": 0}
-    for key, fit, lr, sse_c in corpus.fit_twocomp960():
+    stored = corpus.load(name)
+    seen, worse, flipped = 0, [], []
+    free = {"better": 0, "worse": 0, "equal": 0}
+    cone = dict(free)
+    for key, fit, lr, sse_c in corpus.fit(name):
         sse, reject, stored_c = stored[key]
         seen += 1
+        free["better" if fit.sse < sse else "worse" if fit.sse > sse else "equal"] += 1
         if fit.sse > sse * (1.0 + 1e-9):
             worse.append((key, fit.sse, sse))
         if (lr.p_value < 0.05) != reject:
@@ -31,9 +34,17 @@ def test_twocomp960_free_fits_and_lr_decisions(monkeypatch):
             cone["better" if sse_c < stored_c else "worse" if sse_c > stored_c else "equal"] += 1
             if sse_c > stored_c * (1.0 + 1e-9):
                 worse.append((key, "cone", sse_c, stored_c))
-    print(f"twocomp960 constrained SSEs against stored: {cone}")
-    assert seen == len(stored) == 960
+    print(f"{name} against stored: free SSEs {free}, constrained SSEs {cone}")
+    assert seen == len(stored) == count
     assert sum(cone.values()) == sum(c is not None for _, _, c in stored.values())
     assert not worse
     assert not flipped
     assert fallbacks == 0
+
+
+def test_twocomp960_free_fits_and_lr_decisions(monkeypatch):
+    check_corpus("twocomp960", 960, monkeypatch)
+
+
+def test_constrained760_free_fits_and_lr_decisions(monkeypatch):
+    check_corpus("constrained760", 760, monkeypatch)

@@ -224,6 +224,12 @@ class TestThresholdUncertainty:
         rep = threshold_uncertainty(0.5, 0.3, 0.1, 1.0, 1.0, 1.0, 0.08)
         assert rep.robust_r_star >= rep.r_star
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, math.nan])
+    def test_level_outside_unit_interval_raises(self, level):
+        # level 1.5 gave a CI and a robust threshold of NaN
+        with pytest.raises(ValidationError, match="level"):
+            threshold_uncertainty(0.5, 0.3, 0.1, 1.0, 1.0, 1.0, 0.05, level=level)
+
     def test_nonpositive_lower_bound(self):
         with pytest.raises(NonpositiveLowerBound):
             threshold_uncertainty(0.5, 0.3, 0.1, 1.0, 1.0, 0.1, 1.0)

@@ -67,6 +67,12 @@ class TestFitNls:
         with pytest.raises(ValidationError, match="init"):
             ak.fit_nls(datasets.synthetic21().series, init=init)
 
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_max_iter_below_one_raises(self, max_iter):
+        # was handed to MINPACK as its own default budget
+        with pytest.raises(ValidationError, match="max_iter"):
+            ak.fit_nls(datasets.load_builtin("enterprise78raw").series, "logisticbump", max_iter=max_iter)
+
     def test_insufficient_data(self):
         series = TimeSeries([0.0, 1.0, 2.0], [1.0, 1.1, 1.3])
         with pytest.raises(InsufficientData):
@@ -845,7 +851,8 @@ class TestPolishMany:
         # alpha = beta limit), odd rows from the best local minimum of their grid
         rng = np.random.default_rng(seed)
         thetas = [ThetaTwoComp(*np.exp(rng.uniform(-1.5, 1.0, 4))) for _ in range(count)]
-        starts = np.array([estimate._cone_starts(th, W, val[:, i])[i % 2] for i, th in enumerate(thetas)])
+        best = estimate._grid_minima(W, val, 1)[0][0]
+        starts = np.array([best[i] if i % 2 else estimate._cone_free(th) for i, th in enumerate(thetas)])
         self.assert_rows_independent(cone, t, Y, starts)
 
     @staticmethod
@@ -902,17 +909,27 @@ class TestPolishMany:
     def test_certified_cold_and_cone_rows_match_the_per_row_fits(self, monkeypatch):
         # seeded trough and boundary series: no SSE of the batch paths may be
         # worse than the per-row path's, and most rows must not fall back
-        fit_nls, monotone_sse = estimate.fit_nls, estimate._monotone_sse
-        fallbacks = {"fit_nls": 0, "_monotone_sse": 0}
+        fit_nls, fit_coords, cone = estimate.fit_nls, estimate._fit_coords, estimate._MONOTONE_CONE
+        fallbacks = {"fit_nls": 0, "cone": 0}
 
-        def counting(name, f):
-            def counted(*args):
-                fallbacks[name] += 1
-                return f(*args)
-            return counted
+        def counted_fit_nls(*args):
+            fallbacks["fit_nls"] += 1
+            return fit_nls(*args)
 
-        monkeypatch.setattr(estimate, "fit_nls", counting("fit_nls", fit_nls))
-        monkeypatch.setattr(estimate, "_monotone_sse", counting("_monotone_sse", monotone_sse))
+        def counted_fit_coords(sep, *args):
+            fallbacks["cone"] += sep is cone
+            return fit_coords(sep, *args)
+
+        def monotone_sse(t, y, theta):
+            # the per-row polish: lmdif from the series' free fit and the two
+            # best local minima of its cone grid
+            W, val = estimate._grid(cone, t, y, np.zeros(2), 0)
+            minima, k = estimate._grid_minima(W, val[:, None], 2)
+            starts = [np.array(estimate._cone_free(theta)), *minima[: k[0], 0]]
+            return 2.0 * fit_coords(cone, t, y, starts, 5000).cost
+
+        monkeypatch.setattr(estimate, "fit_nls", counted_fit_nls)
+        monkeypatch.setattr(estimate, "_fit_coords", counted_fit_coords)
         rows = cone_rows = 0
         noise = (fisher.GaussianIid(0.05), fisher.GaussianAr1(0.05, 0.3))
         # part of a seeded set of 960 series, and overshoots (alpha < beta),
@@ -935,7 +952,7 @@ class TestPolishMany:
                 assert sse[j] == pytest.approx(monotone_sse(t, Y[i], thetas[j]), rel=1e-9)
             rows, cone_rows = rows + len(Y), cone_rows + len(free)
         assert fallbacks["fit_nls"] <= 0.2 * rows
-        assert fallbacks["_monotone_sse"] <= 0.1 * cone_rows
+        assert fallbacks["cone"] <= 0.1 * cone_rows
 
     def test_matches_the_reference(self, monkeypatch):
         # the batches of seeded pre/post bootstraps (warm), and of cold free

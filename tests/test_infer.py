@@ -229,6 +229,8 @@ class TestConstrainedLR:
         fit = ak.fit_nls(series, "twocomp")
         leastsq = estimate.leastsq
         monkeypatch.setattr(estimate, "leastsq", lambda *a, **kw: leastsq(*a, **{**kw, "maxfev": 1}))
+        # no batched step either, so the row goes to the capped polish
+        monkeypatch.setattr(estimate, "_BATCH_MAX_ITER", 0)
         with pytest.raises(NonConvergence):
             infer.constrained_lr(series, fit=fit)
 

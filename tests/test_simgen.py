@@ -104,6 +104,13 @@ class TestBenchmark:
             shape_boot=60,
         )
 
+    @pytest.mark.parametrize("field", [{"shape_boot": 0}, {"shape_boot": -3}, {"seed": -1}])
+    def test_grid_range_checks(self, field):
+        # shape_boot 0 made every shape test fail and type1_shape read null
+        with pytest.raises(ValidationError):
+            simgen.ScenarioGrid(thetas=(simgen.theta_for_depth(0.0),), error_models=(GaussianIid(0.05),),
+                                n_points=(21,), **field)
+
     def test_bitwise_reproducible_across_threads(self):
         grid = self.small_grid()
         a = simgen.run_benchmark(grid, threads=1)
