@@ -21,7 +21,7 @@ from .errors import (
     NonpositiveLowerBound,
     ValidationError,
 )
-from .estimate import _ols_hc1
+from .estimate import _check_level, _ols_hc1
 
 
 @dataclass(frozen=True)
@@ -271,8 +271,7 @@ def threshold_uncertainty(
     """
     if sigma_mu < 0:
         raise ValidationError("sigma_mu must be nonnegative")
-    if not 0.0 < level < 1.0:
-        raise ValidationError(f"level must be in (0, 1), got {level}")
+    _check_level(level)
     r_star = agency_threshold(r_chat, delta_tau, delta_phi, c_time, c_fric, mu_c)
     k = c_time * delta_tau + c_fric * delta_phi
     variance = (k / mu_c**2) ** 2 * sigma_mu**2

@@ -183,10 +183,52 @@ class _Separable:
         return A, np.array(_amplitudes((A @ A.T).tolist(), (A @ y).tolist(), self.nonneg)[0])
 
 
+class _TwoComp(_Separable):
+    """The two-component curve: its column j, exp(-alpha*t) or
+    -expm1(-beta*t), depends on coordinate j alone, so its derivatives in w
+    are closed-form multiples of the columns."""
+
+    #: A - _ONE is (exp(-alpha*t), -exp(-beta*t)); _PLACE puts the
+    #: derivative in w_j in row j of dA[j], the other row 0
+    _PLACE, _ONE = np.eye(2)[..., None], np.array([[0.0], [1.0]])
+
+    def dcolumns(self, w: np.ndarray, t: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """dA/dw (shape (2, 2, n), dA[j] = dA/dw_j) from the columns ``A``
+        at ``w``: -alpha*t*exp(-alpha*t) and beta*t*exp(-beta*t), 0 past
+        the clip, where a rate is constant."""
+        rates = [[-math.exp(v) if abs(v) <= 40.0 else 0.0] for v in w.tolist()]
+        return self._PLACE * ((A - self._ONE) * (t * np.array(rates)))
+
+
+def _vp_jacobian(A: np.ndarray, c: np.ndarray, r: np.ndarray, dA: np.ndarray) -> np.ndarray:
+    """The Jacobian (shape (d, n)) of the projected residual r = c A - y in
+    the coordinates w, from the columns ``A`` (shape (k, n), k <= 2), their
+    amplitudes ``c`` and their derivatives ``dA`` (shape (d, k, n), dA[j] =
+    dA/dw_j): J_j = c dA_j - A_S' G_S^-1 (A_S dA_j' c + dA_j,S r) over the
+    active columns S (c != 0), G_S = A_S A_S' (Golub & Pereyra 2003,
+    *Inverse Problems* 19:R1). An amplitude clipped at 0 stays 0 nearby, so
+    its column drops out. The 1 x 1 or 2 x 2 solve is in closed form."""
+    S = [i for i, ci in enumerate(c.tolist()) if ci != 0.0]
+    D = c @ dA
+    if not S:
+        return D
+    if len(S) < len(c):
+        A, dA = A[S], dA[:, S]
+    rhs = (D @ A.T + dA @ r).tolist()  # row j: A_S dA_j' c + dA_j,S r
+    G = (A @ A.T).tolist()
+    if len(S) == 1:
+        Z = [[v / G[0][0] for v in row] for row in rhs]
+    else:
+        (g00, g01), (_, g11) = G
+        det = g00 * g11 - g01 * g01
+        Z = [[(g11 * u - g01 * v) / det, (g00 * v - g01 * u) / det] for u, v in rhs]
+    return D - np.array(Z) @ A
+
+
 _SEPARABLE = {
     sep.family: sep
     for sep in (
-        _Separable(Family.TWO_COMP, [0, 2], ("rate", "rate")),
+        _TwoComp(Family.TWO_COMP, [0, 2], ("rate", "rate")),
         _Separable(Family.LOGISTIC, [0], ("offset", "rate")),
         _Separable(Family.BASS, [0], ("rate", "rate")),
         _Separable(Family.BI_LOGISTIC, [0, 3], ("offset", "rate", "offset", "rate")),
@@ -330,17 +372,28 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev:
     (the components' roles swapped). The best polish wins: MINPACK's
     Levenberg-Marquardt (``_lmdif``), or for the double exponential a
     trust-region solve bounded by its box, which keeps its collapse to one
-    exponential cheap. A run that uses up its budget, or whose residuals
-    are not finite, is dropped.
+    exponential cheap. The two-component curve's polish is lmder with the
+    exact Jacobian (``_vp_jacobian`` of ``_TwoComp.dcolumns``, from the
+    columns of the last evaluation); the other families' (and the monotone
+    cone's) is lmdif with forward differences. ``max_nfev`` caps a polish's
+    function plus Jacobian evaluations. A run that uses up its budget, or
+    whose residuals are not finite, is dropped.
     """
+
+    last = []  # the columns, amplitudes and residual of the last evaluation
 
     def residual(w):
         A, c = sep.solve(w, t, y)
-        return c @ A - y
+        last[:] = A, c, c @ A - y
+        return last[2]
+
+    def jacobian(w):
+        A, c, r = last
+        return _vp_jacobian(A, c, r, sep.dcolumns(w, t, A))
 
     def polish(w0):
         if sep.family != Family.DOUBLE_EXP:
-            return _lmdif(residual, w0, max_nfev)
+            return _lmdif(residual, w0, max_nfev, jacobian if isinstance(sep, _TwoComp) else None)
         lb, ub = _ranges(t)["rate"]
         return least_squares(residual, np.clip(w0, lb, ub), bounds=(lb, ub), method="trf",
                              xtol=1e-12, ftol=SOLVE_FTOL, gtol=1e-12, max_nfev=max_nfev)
@@ -562,23 +615,47 @@ def _fit_reports(family: Family, t: np.ndarray, Y: np.ndarray, Theta: np.ndarray
     return reports, errors
 
 
-def _lmdif(residual, z0: np.ndarray, max_nfev: int) -> OptimizeResult:
-    """Levenberg-Marquardt with MINPACK's own forward-difference Jacobian.
+def _lmdif(residual, z0: np.ndarray, max_nfev: int, jacobian=None) -> OptimizeResult:
+    """Levenberg-Marquardt by MINPACK (``leastsq``): lmdif with its own
+    forward-difference Jacobian, or lmder with ``jacobian(w)``, the (d, n)
+    Jacobian of ``residual`` at w. ``jacobian`` is only called at the w of
+    the last ``residual`` call, so it may reuse that call's work; a repeated
+    call at the same point is not evaluated again.
 
-    lmdif (``leastsq``) gives the same result every time, unlike lmder
-    behind ``least_squares`` with a Python-differenced Jacobian. Its step
+    MINPACK gives the same result every time. lmdif's difference step
     sqrt(eps)*|x| vanishes near x = 0, where the differences drown in
-    rounding, so it iterates x = z - z0 + 100 (a ~1.5e-6 step). Returns the
-    fields of a ``least_squares`` result; status 0: budget used up.
+    rounding, so it iterates x = z - z0 + 100 (a ~1.5e-6 step); lmder keeps
+    the shift, since its trust radius and xtol scale with ||D x||. The budget
+    ``max_nfev`` counts function plus Jacobian evaluations: lmder gets
+    max_nfev // 2 function evaluations, each step one of each. Returns the
+    fields of a ``least_squares`` result, ``nfev`` the evaluations of both
+    kinds; status 0: budget used up.
     """
     shift = np.asarray(z0, dtype=float) - 100.0
+    key, r, J = None, None, None
+
+    def fun(x):
+        nonlocal key, r, J
+        if x.tobytes() != key:
+            key, r, J = x.tobytes(), residual(x + shift), None
+        return r
+
+    def jac(x):
+        nonlocal J
+        fun(x)
+        if J is None:
+            J = jacobian(x + shift)
+        return J
+
+    exact = {} if jacobian is None else {"Dfun": jac, "col_deriv": True}
     x, _, info, _, ier = leastsq(
-        lambda x: residual(x + shift), z0 - shift, full_output=True,
-        xtol=1e-12, ftol=SOLVE_FTOL, gtol=1e-12, maxfev=max_nfev,
+        fun, z0 - shift, full_output=True, xtol=1e-12, ftol=SOLVE_FTOL, gtol=1e-12,
+        maxfev=max_nfev if jacobian is None else max(max_nfev // 2, 1), **exact,
     )
     f = info["fvec"]
     return OptimizeResult(
-        x=x + shift, cost=0.5 * float(f @ f), nfev=int(info["nfev"]), status=int(ier != 5)
+        x=x + shift, cost=0.5 * float(f @ f), nfev=int(info["nfev"] + info.get("njev", 0)),
+        status=int(ier != 5),
     )
 
 
@@ -663,7 +740,9 @@ def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, 
     with ``_lmpar``'s parameter, the 0.25/0.75 ratio rules, and the ftol
     (SOLVE_FTOL), xtol (1e-12, on ``_lmdif``'s shifted coordinates) and gtol
     (1e-12) tests, with the projected residual's Jacobian by forward
-    differences at lmdif's step, evaluated with each trial point. Every
+    differences at lmdif's step, evaluated with each trial point (the scalar
+    two-component polish takes the exact one, ``_vp_jacobian``, whose
+    derivative columns ``_TwoComp.dcolumns`` would serve a batch too). Every
     operation is elementwise or a sum along a row (``np.einsum``, no BLAS):
     a row's numbers do not depend on its batch, and nothing raises. The
     active rows' state is one array, a row per field, so an iteration makes
@@ -874,6 +953,11 @@ def identify_from_moments(
 # delta-method CI for t*
 # ---------------------------------------------------------------------------
 
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValidationError(f"level must be in (0, 1), got {level}")
+
+
 @dataclass(frozen=True)
 class TstarDelta:
     t_star: float
@@ -886,7 +970,9 @@ def delta_ci_tstar(fit: FitReport, level: float = 0.95) -> TstarDelta:
     """Delta-method variance and CI for the critical time of a two-component fit.
 
     variance = grad(t*)' Sigma grad(t*) with the closed-form sensitivities.
+    Raises ValidationError for a ``level`` outside (0, 1).
     """
+    _check_level(level)
     theta = fit.theta_two_comp()
     report = curves.classify_phase(theta)
     if report.t_star is None:
@@ -1023,9 +1109,10 @@ def prepost_delta_beta(
     ``post_cov_unreliable`` flag a window whose own fit did not converge or
     has an unreliable covariance. Deterministic given (inputs, seed), and
     independent of the batch size. Raises ValidationError before any fit
-    when ``n_boot`` < 10, fewer replicates than the variance needs, or when
-    ``block_len`` < 1.
+    when ``n_boot`` < 10, fewer replicates than the variance needs, when
+    ``block_len`` < 1, or for a ``level`` outside (0, 1).
     """
+    _check_level(level)
     if n_boot < 10:
         raise ValidationError(f"n_boot must be >= 10, got {n_boot}")
     if block_len is not None and block_len < 1:
@@ -1108,25 +1195,50 @@ class ProfileCI:
     upper_reached: bool
 
 
-def _profile_sse(series: TimeSeries, t0: float, start: np.ndarray) -> tuple[float, np.ndarray]:
-    """SSE minimized over (alpha, umax, beta) with n0 pinned so that t*(theta) = t0.
+def _profile_model(t: np.ndarray, y: np.ndarray, t0: float):
+    """The residual and Jacobian in w = (log alpha, log beta) of the
+    two-component curve pinned to t* = t0, for ``_lmdif``.
 
     With n0 = (beta*umax/alpha) * exp(t0*(alpha - beta)) the model is umax
-    times one column, so only w = (log alpha, log beta) is iterated (from
-    ``start``) and umax >= 0 is solved at each w. Returns (SSE, w).
+    times one column a, and umax >= 0 is solved at each w. The Jacobian is
+    ``_vp_jacobian``'s from the last evaluation's terms.
     """
-    t, y = series.times, series.values
+    last = []  # the rates, the column's two exponential terms, a, umax and the residual
+    lead = t0 - t
 
     def residual(w):
-        alpha, beta = np.exp(np.clip(w, -30.0, 30.0))
+        alpha, beta = np.exp(np.clip(w, -30.0, 30.0)).tolist()
         e = t0 * (alpha - beta) - alpha * t
         # the fit does not depend on the column's scale: where its square
         # could overflow, it is divided by exp(m), m from its largest exponent
         m = max(float(e[0]) - 300.0, 0.0)
-        a = (beta / alpha) * np.exp(e - m) + np.exp(-m) - np.exp(-m - beta * t)
-        return max(float(a @ y), 0.0) / float(a @ a) * a - y
+        novelty, utility = (beta / alpha) * np.exp(e - m), np.exp(-m - beta * t)
+        a = novelty + math.exp(-m) - utility
+        u = max(float(a @ y), 0.0) / float(a @ a)
+        last[:] = alpha, beta, novelty, utility, a, u, u * a - y
+        return last[-1]
 
-    res = _lmdif(residual, start, 4000)
+    def jacobian(w):
+        # the derivatives at a fixed scale exp(-m): a change of scale moves
+        # the column along itself, which leaves the residual alone
+        alpha, beta, novelty, utility, a, u, r = last
+        dA = np.array([[novelty * (alpha * lead - 1.0)], [novelty * (1.0 - beta * t0) + (beta * t) * utility]])
+        for j, v in enumerate(w.tolist()):
+            if abs(v) > 30.0:  # past the clip the rate is constant
+                dA[j] = 0.0
+        return _vp_jacobian(a[None], np.array([u]), r, dA)
+
+    return residual, jacobian
+
+
+def _profile_sse(series: TimeSeries, t0: float, start: np.ndarray) -> tuple[float, np.ndarray]:
+    """SSE minimized over (alpha, umax, beta) with n0 pinned so that t*(theta) = t0.
+
+    Only w = (log alpha, log beta) is iterated (``_profile_model``), from
+    ``start``, by ``_lmdif`` with the exact Jacobian. Returns (SSE, w).
+    """
+    residual, jacobian = _profile_model(series.times, series.values, t0)
+    res = _lmdif(residual, start, 4000, jacobian)
     if res.status == 0:
         raise NonConvergence(f"profile fit did not converge at t0={t0}")
     return 2.0 * res.cost, res.x
@@ -1138,7 +1250,12 @@ def profile_ci_tstar(series: TimeSeries, level: float = 0.95, max_steps: int = 4
     CI = {t0 : n*log(SSE(t0)/SSE_hat) <= chi2_1 quantile}. A bound not found
     within ``max_steps`` steps, or clipped at t = 0, is flagged not reached.
     Grid points where the constrained refit fails are skipped and counted.
+    Raises ValidationError before any fit for a ``level`` outside (0, 1) or
+    ``max_steps`` < 1.
     """
+    _check_level(level)
+    if max_steps < 1:
+        raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
     fit = fit_nls(series, Family.TWO_COMP)
     theta = fit.theta_two_comp()
     report = curves.classify_phase(theta)

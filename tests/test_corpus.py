@@ -1,5 +1,7 @@
 """Fit parity on the seeded corpora of ``corpus.py`` against their stored values."""
 
+import pytest
+
 import corpus
 from adoptkit import estimate
 
@@ -48,3 +50,16 @@ def test_twocomp960_free_fits_and_lr_decisions(monkeypatch):
 
 def test_constrained760_free_fits_and_lr_decisions(monkeypatch):
     check_corpus("constrained760", 760, monkeypatch)
+
+
+def test_twocomp960_scalar_fits():
+    # fit_nls's own polishes (lmder with the exact Jacobian) on every third
+    # series: each SSE within 1e-9 of the stored one, on either side
+    stored = corpus.load("twocomp960")
+    seen = 0
+    for (di, ni, n), t, Y in corpus.twocomp960():
+        for s in range(0, len(Y), 3):
+            sse = stored[(di, ni, n, s)][0]
+            assert estimate.fit_nls(estimate.TimeSeries(t, Y[s])).sse == pytest.approx(sse, rel=1e-9)
+            seen += 1
+    assert seen == 320

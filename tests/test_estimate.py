@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -283,6 +284,13 @@ class TestDeltaCiTstar:
         with pytest.raises(ak.errors.NoInteriorExtremum):
             ak.delta_ci_tstar(fit)
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_level_outside_unit_interval_raises(self, level):
+        # before: NaN or infinite bounds
+        fit = ak.fit_nls(noiseless_series(ThetaTwoComp(3.0, 0.8, 2.0, 0.25)))
+        with pytest.raises(ValidationError, match="level"):
+            ak.delta_ci_tstar(fit, level=level)
+
     def test_against_parametric_bootstrap_oracle(self):
         # delta-method SE within a factor-2 band of a 500-refit parametric
         # bootstrap; the enterprise fit sits in the ill-conditioned r ~ 1
@@ -371,6 +379,18 @@ class TestPrePost:
         monkeypatch.setattr(estimate, "fit_nls", no_fit)
         with pytest.raises(ValidationError):
             ak.prepost_delta_beta(series, WindowSpec(intervention_time=15.0), n_boot=9)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_level_outside_unit_interval_raises_before_fitting(self, monkeypatch, level):
+        # before: NaN or infinite bounds after all the refits
+        series = prepost_series(0.05, 0.10, 0.01, seed=2)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_nls called")
+
+        monkeypatch.setattr(estimate, "fit_nls", no_fit)
+        with pytest.raises(ValidationError, match="level"):
+            ak.prepost_delta_beta(series, WindowSpec(intervention_time=15.0), n_boot=20, level=level)
 
     @pytest.mark.parametrize("block_len", [0, -3])
     def test_block_len_below_one_raises_before_fitting(self, monkeypatch, block_len):
@@ -1221,6 +1241,22 @@ class TestProfileCi:
         with pytest.raises(ak.errors.NoInteriorExtremum):
             ak.profile_ci_tstar(series)
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_level_outside_unit_interval_raises_before_fitting(self, monkeypatch, level):
+        # before: level 1.5 ran 419 refits and returned (0, 59.96), flagged not reached
+        series = simgen.gen_series(self.THETA, fisher.GaussianIid(0.05), 21, 20.0, seed=(42, 0))
+        monkeypatch.setattr(estimate, "_lmdif", mock.Mock(side_effect=AssertionError("fit run")))
+        with pytest.raises(ValidationError, match="level"):
+            ak.profile_ci_tstar(series, level=level)
+
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_max_steps_below_one_raises_before_fitting(self, monkeypatch, max_steps):
+        # before: max_steps 0 gave a zero-width CI at t-hat*
+        series = simgen.gen_series(self.THETA, fisher.GaussianIid(0.05), 21, 20.0, seed=(42, 0))
+        monkeypatch.setattr(estimate, "_lmdif", mock.Mock(side_effect=AssertionError("fit run")))
+        with pytest.raises(ValidationError, match="max_steps"):
+            ak.profile_ci_tstar(series, max_steps=max_steps)
+
     def test_truncated_walk_is_flagged(self):
         series = simgen.gen_series(self.THETA, fisher.GaussianIid(0.05), 21, 20.0, seed=(42, 0))
         ci = ak.profile_ci_tstar(series)
@@ -1234,8 +1270,9 @@ class TestProfileCi:
         leastsq = estimate.leastsq
 
         def capped(*args, **kwargs):
-            # only the profile's refits (budget 4000) exhaust their budget
-            if kwargs.get("maxfev") == 4000:
+            # only the profile's refits exhaust their budget: 4000 evaluations,
+            # half of them of the function's when lmder also evaluates the Jacobian
+            if kwargs.get("maxfev") == 2000:
                 kwargs["maxfev"] = 1
             return leastsq(*args, **kwargs)
 
@@ -1397,6 +1434,142 @@ class TestProfileSse:
         start = np.log([theta.alpha, theta.beta])
         sse, _ = estimate._profile_sse(series, ak.critical_time(theta), start)
         assert sse == pytest.approx(fit.sse, rel=1e-8)
+
+
+def central_differences(residual, w, h=1e-6):
+    """d residual / dw by central differences, shape (2, n)."""
+    return np.array([(residual(w + h * e) - residual(w - h * e)) / (2.0 * h) for e in np.eye(2)])
+
+
+def profile_sse_reference(series, t0, start, evaluations=None):
+    """The pinned-t* refit as ``_profile_sse`` ran before its exact
+    Jacobian: MINPACK's lmdif, which differences the residual forward, on
+    the shifted coordinates w - start + 100 with the same tolerances and a
+    budget of 4000 evaluations. Appends lmdif's evaluation count to
+    ``evaluations`` when given. Returns (SSE, w)."""
+    t, y = series.times, series.values
+
+    def residual(w):
+        alpha, beta = np.exp(np.clip(w, -30.0, 30.0))
+        e = t0 * (alpha - beta) - alpha * t
+        m = max(float(e[0]) - 300.0, 0.0)
+        a = (beta / alpha) * np.exp(e - m) + np.exp(-m) - np.exp(-m - beta * t)
+        return max(float(a @ y), 0.0) / float(a @ a) * a - y
+
+    shift = np.asarray(start, dtype=float) - 100.0
+    x, _, info, _, ier = scipy.optimize.leastsq(
+        lambda x: residual(x + shift), start - shift, full_output=True,
+        xtol=1e-12, ftol=estimate.SOLVE_FTOL, gtol=1e-12, maxfev=4000,
+    )
+    if evaluations is not None:
+        evaluations.append(info["nfev"])
+    if ier == 5:
+        raise NonConvergence(f"profile fit did not converge at t0={t0}")
+    return float(info["fvec"] @ info["fvec"]), x + shift
+
+
+class TestExactJacobian:
+    """The closed-form variable-projection Jacobians against central differences."""
+
+    T = np.linspace(0.0, 20.0, 21)
+    SERIES = simgen.gen_series(ThetaTwoComp(3.0, 0.8, 2.0, 0.25), fisher.GaussianIid(0.05), 21, 20.0,
+                               seed=(88, 0))
+
+    @staticmethod
+    def assert_matches(J, residual, w):
+        reference = central_differences(residual, w)
+        np.testing.assert_allclose(J, reference, rtol=1e-6, atol=1e-6 * np.abs(reference).max())
+
+    def twocomp_jacobian(self, y, w):
+        sep = estimate._SEPARABLE[Family.TWO_COMP]
+
+        def residual(w):
+            A, c = sep.solve(w, self.T, y)
+            return c @ A - y
+
+        A, c = sep.solve(w, self.T, y)
+        J = estimate._vp_jacobian(A, c, c @ A - y, sep.dcolumns(w, self.T, A))
+        self.assert_matches(J, residual, w)
+        return c, J
+
+    def test_twocomp_both_amplitudes_active(self):
+        c, _ = self.twocomp_jacobian(self.SERIES.values, np.log([0.8, 0.25]))
+        assert (c > 0.0).all()
+
+    def test_twocomp_one_amplitude_clipped(self):
+        # a decay to below 0: the utility amplitude would be negative
+        y = 2.0 * np.exp(-0.5 * self.T) - 0.3
+        c, _ = self.twocomp_jacobian(y, np.log([0.4, 0.1]))
+        assert c[0] > 0.0 and c[1] == 0.0
+
+    @pytest.mark.parametrize("w", [[45.0, math.log(0.25)], [math.log(0.8), -45.0]], ids=["alpha", "beta"])
+    def test_twocomp_rate_past_the_clip(self, w):
+        # the clipped rate is constant: its column of the Jacobian is 0
+        w = np.array(w)
+        _, J = self.twocomp_jacobian(self.SERIES.values, w)
+        assert not J[np.abs(w) > 40.0].any() and J[np.abs(w) < 40.0].any()
+
+    def profile_jacobian(self, y, t0, w):
+        residual, jacobian = estimate._profile_model(self.T, y, t0)
+        residual(w)
+        J = jacobian(w)
+        self.assert_matches(J, residual, w)
+        return J
+
+    def test_profile_overflow_rescale(self):
+        # t0*(alpha - beta) = 375 > 300: the column is divided by exp(75)
+        J = self.profile_jacobian(self.SERIES.values, 500.0, np.log([1.0, 0.25]))
+        assert np.abs(J).max() > 0.1
+
+    def test_profile_amplitude_clipped(self):
+        # a negative series: umax is clipped to 0 and the residual is -y nearby
+        J = self.profile_jacobian(-self.SERIES.values, 3.0, np.log([0.8, 0.25]))
+        assert not J.any()
+
+
+class TestScalarLmder:
+    """The scalar two-component polishes on lmder with the exact Jacobian,
+    against lmdif's forward differences."""
+
+    THETA = ThetaTwoComp(3.0, 0.8, 2.0, 0.25)
+
+    def test_profile_ci_matches_forward_differences(self, monkeypatch):
+        # 32 series like the refits workload's: the CI ends agree to 1e-6
+        series = [simgen.gen_series(self.THETA, fisher.GaussianIid(0.05), 21, 20.0, seed=(1, 0, i))
+                  for i in range(32)]
+        exact = [ak.profile_ci_tstar(s) for s in series]
+        monkeypatch.setattr(estimate, "_profile_sse", profile_sse_reference)
+        for ci, s in zip(exact, series):
+            reference = ak.profile_ci_tstar(s)
+            assert (ci.lower_reached, ci.upper_reached, ci.n_skipped) == (
+                reference.lower_reached, reference.upper_reached, reference.n_skipped)
+            assert ci.lower == pytest.approx(reference.lower, rel=1e-6)
+            assert ci.upper == pytest.approx(reference.upper, rel=1e-6)
+
+    def test_fewer_evaluations_than_forward_differences(self, monkeypatch):
+        series = simgen.gen_series(self.THETA, fisher.GaussianIid(0.05), 21, 20.0, seed=(88, 0))
+        lmdif = estimate._lmdif
+
+        def evaluations(call, exact):
+            counts = []
+
+            def counted(residual, z0, max_nfev, jacobian=None):
+                res = lmdif(residual, z0, max_nfev, jacobian if exact else None)
+                counts.append(res.nfev)
+                return res
+
+            monkeypatch.setattr(estimate, "_lmdif", counted)
+            out = call(series)
+            return out, sum(counts)
+
+        fit, cold = evaluations(ak.fit_nls, True)
+        fit_fd, cold_fd = evaluations(ak.fit_nls, False)
+        assert fit.sse == pytest.approx(fit_fd.sse, rel=1e-9)
+        assert fit.n_iter <= cold < cold_fd
+        ci, profile = evaluations(ak.profile_ci_tstar, True)
+        ci_fd, profile_fd = evaluations(ak.profile_ci_tstar, False)
+        assert (ci.lower, ci.upper) == pytest.approx((ci_fd.lower, ci_fd.upper), rel=1e-6)
+        assert profile < profile_fd
 
 
 class TestMonotoneCone:
