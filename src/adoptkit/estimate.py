@@ -151,6 +151,7 @@ class _Separable:
         self.nonlinear = [i for i in range(len(positive)) if i not in amplitudes]
         self.nonneg = positive[amplitudes]
         self.logs = positive[self.nonlinear]
+        self.in_logs = np.array(self.nonlinear)[self.logs]  # their theta positions
         self.unit = np.eye(len(amplitudes))
         self.order = np.argsort(amplitudes + self.nonlinear).tolist()
 
@@ -359,6 +360,23 @@ def _grid_minima(W: np.ndarray, val: np.ndarray, count: int) -> tuple[np.ndarray
     return W[order], np.minimum(lows.sum(axis=0), count)
 
 
+def _beaten(S, gd, g01, b, best, margin: float = 1.0 + 1e-6, where=lambda cond, x, y: x if cond else y):
+    """Whether a start at SSE ``S``, with J'J = [[gd[0], g01], [g01, gd[1]]]
+    and J'r = ``b``, is beaten: J'J is nonsingular and its Gauss-Newton model
+    minimum S - J'r (J'J)^-1 J'r lies above ``margin`` times ``best``, the
+    least SSE of a finished mate (the multistart merit filter; Ugray et al.
+    2007, *INFORMS J. Comput.* 19:328). Floats, or arrays over rows with
+    ``where=np.where`` (as ``_amplitudes``)."""
+    det = gd[0] * gd[1] - g01 * g01
+    full = det > 0.0
+    quad = gd[1] * b[0] * b[0] - 2.0 * g01 * b[0] * b[1] + gd[0] * b[1] * b[1]
+    return full & (S - quad / where(full, det, 1.0) > best * margin)
+
+
+class _Beaten(Exception):
+    """Raised from a polish's Jacobian to stop a start ``_beaten`` by a finished one."""
+
+
 def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev: int) -> OptimizeResult:
     """The coordinates w, polished from each of ``starts`` (a list of w),
     or from the start rule's starts when ``starts`` is None.
@@ -378,9 +396,18 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev:
     cone's) is lmdif with forward differences. ``max_nfev`` caps a polish's
     function plus Jacobian evaluations. A run that uses up its budget, or
     whose residuals are not finite, is dropped.
+
+    The two-component polishes run ``_polish_many``'s merit filter on its
+    cold pairs: once a polish has ended certified (status != 0, finite
+    SSE), a later start stops at the first Jacobian whose Gauss-Newton model
+    minimum is ``_beaten`` by the least such SSE, and is dropped as beaten
+    (not counted as exhausted). So the alpha > beta start, polished first,
+    keeps a tie within the 1e-6 margin, and a deep trough's alpha < beta
+    start, which cannot win, stops after a few steps.
     """
 
     last = []  # the columns, amplitudes and residual of the last evaluation
+    best = [math.inf]  # the least SSE of a certified polish
 
     def residual(w):
         A, c = sep.solve(w, t, y)
@@ -389,14 +416,25 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev:
 
     def jacobian(w):
         A, c, r = last
-        return _vp_jacobian(A, c, r, sep.dcolumns(w, t, A))
+        J = _vp_jacobian(A, c, r, sep.dcolumns(w, t, A))
+        if best[0] < math.inf:
+            (g00, g01), (_, g11) = (J @ J.T).tolist()
+            if _beaten(float(r @ r), (g00, g11), g01, (J @ r).tolist(), best[0]):
+                raise _Beaten
+        return J
 
     def polish(w0):
-        if sep.family != Family.DOUBLE_EXP:
-            return _lmdif(residual, w0, max_nfev, jacobian if isinstance(sep, _TwoComp) else None)
-        lb, ub = _ranges(t)["rate"]
-        return least_squares(residual, np.clip(w0, lb, ub), bounds=(lb, ub), method="trf",
-                             xtol=1e-12, ftol=SOLVE_FTOL, gtol=1e-12, max_nfev=max_nfev)
+        if sep.family == Family.DOUBLE_EXP:
+            lb, ub = _ranges(t)["rate"]
+            return least_squares(residual, np.clip(w0, lb, ub), bounds=(lb, ub), method="trf",
+                                 xtol=1e-12, ftol=SOLVE_FTOL, gtol=1e-12, max_nfev=max_nfev)
+        try:
+            res = _lmdif(residual, w0, max_nfev, jacobian if isinstance(sep, _TwoComp) else None)
+        except _Beaten:
+            return None
+        if res.status != 0 and math.isfinite(res.cost):
+            best[0] = min(best[0], 2.0 * res.cost)
+        return res
 
     def grid_best(w, pair, split=False):
         return _grid_best(*_grid(sep, t, y, w, pair), split)
@@ -415,7 +453,7 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev:
             yield from firsts
             yield polish(grid_best(min(firsts, key=lambda r: r.cost).x, 0)[0])
 
-    runs = list(polishes())
+    runs = [r for r in polishes() if r is not None]
     done = [r for r in runs if r.status != 0 and math.isfinite(r.cost)]
     if not done:
         exhausted = sum(r.status == 0 for r in runs)
@@ -503,9 +541,12 @@ def fit_nls(
     Every family is linear in its amplitudes (``_SEPARABLE``): only its
     other parameters are iterated, from one start rule (``_fit_coords``),
     and at each step the amplitudes are solved exactly, nonnegative where
-    the family requires it. A double-exponential optimum on the edge of its
-    region is returned with ``converged=False`` and ``cov_unreliable``. The
-    bi-logistic and double-exponential components come back fastest first.
+    the family requires it; a cold two-component fit stops its second start
+    once the first has beaten it (the merit filter). A double-exponential
+    optimum on the edge of its region, and a fit of any family with a
+    parameter iterated in logs at its clip exp(+-40), is returned with
+    ``converged=False`` and ``cov_unreliable``. The bi-logistic and
+    double-exponential components come back fastest first.
 
     ``init`` gives a single start: its nonlinear parameters are used and its
     amplitudes are solved again. ``tol`` sets the post-fit stationarity
@@ -535,9 +576,8 @@ def fit_nls(
         init = np.asarray(init, dtype=float)
         if init.shape != (k,):
             raise ValidationError(f"init must have length {k}")
-        logs = np.array(sep.nonlinear)[sep.logs]
-        if not np.isfinite(init).all() or (init[logs] <= 0.0).any():
-            names = ", ".join(curves.FAMILY_PARAMS[family][i] for i in logs)
+        if not np.isfinite(init).all() or (init[sep.in_logs] <= 0.0).any():
+            names = ", ".join(curves.FAMILY_PARAMS[family][i] for i in sep.in_logs)
             raise ValidationError(f"init must be finite with {names} > 0, got {init.tolist()}")
         starts = [sep.coords(_canonical(family, init))]
     res = _fit_coords(sep, t, y, starts, max_iter * (k + 1))
@@ -557,9 +597,12 @@ def _fit_reports(family: Family, t: np.ndarray, Y: np.ndarray, Theta: np.ndarray
     """``fit_nls``'s report of each fit ``Theta[i]`` (shape (B, k)) of the row
     ``Y[i]`` (shape (B, n)) on the times ``t``, found in ``nfev[i]``
     evaluations: residuals, AIC, covariance, the flags and the stationarity
-    check. The Jacobians, J'J, its condition numbers and inverses are taken
-    for all rows at once (stacked ``matmul`` and ``np.linalg``), so a row's
-    bytes are those of a batch of it alone; the SSE is a dot per row.
+    check. A fit on an edge, ``degenerate`` or with a parameter iterated in
+    logs at ``_Separable.params``' clip exp(+-40) (a rate run off to 0 or
+    infinity), is flagged ``converged=False`` and ``cov_unreliable``. The
+    Jacobians, J'J, its condition numbers and inverses are taken for all
+    rows at once (stacked ``matmul`` and ``np.linalg``), so a row's bytes
+    are those of a batch of it alone; the SSE is a dot per row.
     Returns (reports, {row: exception} of the rows that raised, whose report
     is None): SingularJacobian for a singular exact fit, LinAlgError where
     J'J has no singular values (it has a NaN)."""
@@ -577,6 +620,8 @@ def _fit_reports(family: Family, t: np.ndarray, Y: np.ndarray, Theta: np.ndarray
     inv = np.linalg.inv(np.where(singular[:, None, None], np.eye(k), jtj) if singular.any() else jtj)
     sse = np.array([np.dot(e, e) for e in E])
     sigma2, msr = sse / (n - k), sse / n
+    P = Theta[:, _SEPARABLE[family].in_logs]
+    edge = degenerate | ((P <= math.exp(-40.0) * (1 + 1e-9)) | (P >= math.exp(40.0) * (1 - 1e-9))).any(axis=1)
     errors = {}
     for i in singular.nonzero()[0]:
         try:
@@ -605,10 +650,10 @@ def _fit_reports(family: Family, t: np.ndarray, Y: np.ndarray, Theta: np.ndarray
             residuals=E[i],
             sigma2=float(sigma2[i]),
             aic=2.0 * k + n * (math.log(msr[i]) if msr[i] > 0 else -math.inf),
-            converged=bool(not degenerate and grad_norm < tol * (1.0 + sse[i])),
+            converged=bool(not edge[i] and grad_norm < tol * (1.0 + sse[i])),
             n_iter=int(nfev[i]),
             jtj_condition=float(cond[i]),
-            cov_unreliable=bool(degenerate or singular[i] or cond[i] > COND_UNRELIABLE),
+            cov_unreliable=bool(edge[i] or singular[i] or cond[i] > COND_UNRELIABLE),
             grad_norm=grad_norm,
             singular=bool(singular[i]),
         )
@@ -757,12 +802,12 @@ def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, 
     Given ``mates`` (shape (B, k): the indices of each row's k group-mates),
     a row retires, certified, once its Gauss-Newton model minimum
     S - J'r (J'J)^-1 J'r is above ``margin`` times the least SSE of its
-    certified mates (a multistart merit filter; Ugray et al. 2007, *INFORMS
-    J. Comput.* 19:328): a row's bytes then depend on its mates' as well as
-    its own. The default margin 1 + 1e-6 retires a row its mate has beaten,
-    as a caller that picks between the rows needs; a caller that keeps only
-    a group's least SSE passes 1 - 1e-6, which also retires a row that cannot
-    improve on its mates. Returns (W, SSE, evaluations, certified), shapes
+    certified mates (the multistart merit filter ``_beaten``, which the
+    scalar cold fit in ``_fit_coords`` runs too): a row's bytes then depend
+    on its mates' as well as its own. The default margin 1 + 1e-6 retires a
+    row its mate has beaten, as a caller that picks between the rows needs;
+    a caller that keeps only a group's least SSE passes 1 - 1e-6, which also
+    retires a row that cannot improve on its mates. Returns (W, SSE, evaluations, certified), shapes
     (B, 2), (B,), (B,) and (B,).
     """
     h = 1.4901161193847656e-06  # lmdif's difference step at x = 100
@@ -832,10 +877,9 @@ def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, 
             rows = X[0].astype(int)
             if mates is not None:  # the merit filter: retire a row its certified mates have beaten
                 certified[rows[done]], out[2, rows[done]] = True, S[done]
-                mate, det = mates[rows], gd[0] * gd[1] - X[8] * X[8]
-                low = S - (gd[1] * b[0] * b[0] - 2.0 * X[8] * b[0] * b[1] + gd[0] * b[1] * b[1]) / det
+                mate = mates[rows]
                 best = np.where(certified[mate], out[2, mate], np.inf).min(axis=1)
-                done |= (det > 0.0) & (low > best * margin)
+                done |= _beaten(S, gd, X[8], b, best, margin, np.where)
             keep = np.isfinite(pnorm) & ~done
             if not keep.all():
                 out[:, rows], certified[rows[done]] = X[[1, 2, 3, 20]], True

@@ -52,14 +52,23 @@ def test_constrained760_free_fits_and_lr_decisions(monkeypatch):
     check_corpus("constrained760", 760, monkeypatch)
 
 
-def test_twocomp960_scalar_fits():
-    # fit_nls's own polishes (lmder with the exact Jacobian) on every third
-    # series: each SSE within 1e-9 of the stored one, on either side
-    stored = corpus.load("twocomp960")
+def check_scalar_fits(name, count):
+    # fit_nls's own polishes (lmder with the exact Jacobian and the merit
+    # filter) on every third series of a cell: each SSE within 1e-9 of the
+    # stored one, on either side
+    stored = corpus.load(name)
     seen = 0
-    for (di, ni, n), t, Y in corpus.twocomp960():
+    for (di, ni, n), t, Y in corpus.CORPORA[name]():
         for s in range(0, len(Y), 3):
             sse = stored[(di, ni, n, s)][0]
             assert estimate.fit_nls(estimate.TimeSeries(t, Y[s])).sse == pytest.approx(sse, rel=1e-9)
             seen += 1
-    assert seen == 320
+    assert seen == count
+
+
+def test_twocomp960_scalar_fits():
+    check_scalar_fits("twocomp960", 320)
+
+
+def test_constrained760_scalar_fits():
+    check_scalar_fits("constrained760", 280)

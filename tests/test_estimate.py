@@ -1040,8 +1040,12 @@ def fit_report_reference(family: Family, t: np.ndarray, y: np.ndarray, theta: np
                          degenerate: bool = False, tol: float = 1e-6) -> estimate.FitReport:
     """``fit_nls``'s report of the fit ``theta`` of ``y`` on the times ``t``:
     residuals, AIC, covariance, the flags and the stationarity check, or
-    SingularJacobian for a singular exact fit."""
+    SingularJacobian for a singular exact fit. A fit with a parameter
+    iterated in logs at the clip exp(+-40) is on an edge, as a ``degenerate`` one."""
     k, n = len(theta), len(t)
+    sep = estimate._SEPARABLE[family]
+    logs = [i for i, log in zip(sep.nonlinear, sep.logs) if log]
+    degenerate = degenerate or any(abs(math.log(theta[i])) >= 40.0 - 1e-9 for i in logs)
     fitted = curves._eval_values(family, theta, t)
     e = y - fitted
     sse = float(np.dot(e, e))
@@ -1570,6 +1574,130 @@ class TestScalarLmder:
         ci_fd, profile_fd = evaluations(ak.profile_ci_tstar, False)
         assert (ci.lower, ci.upper) == pytest.approx((ci_fd.lower, ci_fd.upper), rel=1e-6)
         assert profile < profile_fd
+
+
+class TestScalarMeritFilter:
+    """The scalar cold two-component fit's merit filter (``estimate._beaten``
+    in ``_fit_coords``) against the same fits with a filter that never
+    retires, on 21-point trough series like the refits workload's."""
+
+    THETA = ThetaTwoComp(3.0, 0.8, 2.0, 0.25)
+
+    @staticmethod
+    def fits(monkeypatch, series, retire):
+        """(reports, each fit's finished polishes, residual evaluations)."""
+        evaluations, polishes = [0], []
+        solve, lmdif = estimate._Separable.solve, estimate._lmdif
+
+        def counted(self, *args):
+            evaluations[0] += 1
+            return solve(self, *args)
+
+        def recorded(*args):
+            res = lmdif(*args)
+            polishes[-1].append(res)
+            return res
+
+        with monkeypatch.context() as m:
+            m.setattr(estimate._Separable, "solve", counted)
+            m.setattr(estimate, "_lmdif", recorded)
+            if not retire:
+                m.setattr(estimate, "_beaten", lambda *args, **kwargs: False)
+            reports = []
+            for s in series:
+                polishes.append([])
+                reports.append(estimate.fit_nls(s))
+        return reports, polishes, evaluations[0]
+
+    def series(self):
+        return [simgen.gen_series(self.THETA, fisher.GaussianIid(0.05), 21, 20.0, seed=(1, 0, i))
+                for i in range(64)]
+
+    def test_a_beaten_start_moves_no_byte(self, monkeypatch):
+        # where the alpha < beta start ends more than 1e-6 above the first, the
+        # filter stops it and the report keeps every byte
+        series = self.series()
+        fits, polishes, _ = self.fits(monkeypatch, series, True)
+        fits0, polishes0, _ = self.fits(monkeypatch, series, False)
+        beaten = [i for i, (first, second) in enumerate(polishes0) if second.cost > first.cost * (1.0 + 1e-6)]
+        assert len(beaten) == 63
+        for i in beaten:
+            assert len(polishes[i]) == 1
+            a, b = fits[i], fits0[i]
+            assert (a.theta.tobytes(), a.cov.tobytes(), a.residuals.tobytes(), a.n_iter) == (
+                b.theta.tobytes(), b.cov.tobytes(), b.residuals.tobytes(), b.n_iter)
+
+    def test_a_tie_goes_to_the_first_start(self, monkeypatch):
+        # series 27: the alpha < beta start ends ~1e-15 below the alpha > beta
+        # start, within the margin, and is stopped before it gets there
+        series = self.series()[27:28]
+        (fit,), _, _ = self.fits(monkeypatch, series, True)
+        (fit0,), ((first, second),), _ = self.fits(monkeypatch, series, False)
+        assert second.cost < first.cost < second.cost * (1.0 + 1e-12)
+        assert fit0.n_iter == second.nfev
+        assert fit.n_iter == first.nfev and fit.sse == pytest.approx(2.0 * first.cost, rel=1e-12)
+        assert fit.sse == pytest.approx(fit0.sse, rel=1e-12)
+
+    @pytest.mark.parametrize("which", ["64 series", "seed (88, 0)"])
+    def test_fewer_residual_evaluations(self, monkeypatch, which):
+        series = self.series() if which == "64 series" else [
+            simgen.gen_series(self.THETA, fisher.GaussianIid(0.05), 21, 20.0, seed=(88, 0))]
+        fits, _, filtered = self.fits(monkeypatch, series, True)
+        fits0, _, unfiltered = self.fits(monkeypatch, series, False)
+        assert filtered < (0.5 if len(series) > 1 else 1.0) * unfiltered
+        assert [f.sse for f in fits] == pytest.approx([f.sse for f in fits0], rel=1e-12)
+
+
+class TestEdgeFlag:
+    """A fit with a parameter iterated in logs at the clip exp(+-40) is
+    flagged as the double exponential's edge is: ``converged=False``,
+    ``cov_unreliable``, the scalar report as the batched one."""
+
+    EDGE = math.exp(-40.0)
+
+    @staticmethod
+    def assert_flagged_as_degenerate(family, t, y, fit):
+        assert not fit.converged and fit.cov_unreliable
+        # the report is the one of a fit flagged degenerate
+        reports, _ = estimate._fit_reports(family, t, y[None], fit.theta[None], [fit.n_iter], True)
+        assert report_bytes(fit) == report_bytes(reports[0])
+
+    @pytest.mark.parametrize("name, family, at_edge", [
+        ("synthetic21", Family.BASS, ["q"]),
+        ("enterprise78", Family.BASS, ["q"]),
+        ("enterprise78raw", Family.BASS, ["q"]),
+        ("enterprise78", Family.BI_LOGISTIC, ["c2", "g2"]),
+    ])
+    def test_builtin_fit_at_the_clip(self, name, family, at_edge):
+        series = datasets.load_builtin(name).series
+        fit = estimate.fit_nls(series, family)
+        params = dict(zip(curves.FAMILY_PARAMS[family], fit.theta.tolist()))
+        assert [p for p, v in params.items() if v == pytest.approx(self.EDGE, rel=1e-9, abs=0.0)] == at_edge
+        self.assert_flagged_as_degenerate(family, series.times, series.values, fit)
+
+    def test_twocomp_fit_at_alpha_to_zero(self):
+        # constrained760 key (0, 0, 31, 3): the novelty term is a constant
+        series = simgen.gen_series(simgen.theta_for_depth(0.0), fisher.GaussianIid(0.15), 31, 20.0,
+                                   seed=(7800, 0, 31, 3))
+        fit = estimate.fit_nls(series)
+        assert fit.theta[1] == pytest.approx(self.EDGE, rel=1e-9, abs=0.0)
+        self.assert_flagged_as_degenerate(Family.TWO_COMP, series.times, series.values, fit)
+
+    def test_batched_fits_at_alpha_to_zero(self):
+        # constrained760 keys (0, 1, 31, s): s = 4 and 5 end at the clip in the
+        # batch, s = 0 to 3 short of it (s = 1 at alpha ~ 9e-16)
+        Y = np.array([simgen.gen_series(simgen.theta_for_depth(0.0), fisher.GaussianAr1(0.1, 0.5), 31, 20.0,
+                                        seed=(7800, 1, 31, s)).values for s in range(6)])
+        t = np.linspace(0.0, 20.0, 31)
+        fits, errors = estimate._fit_cold_many(t, Y)
+        assert not errors
+        edge = [f.theta[1] == pytest.approx(self.EDGE, rel=1e-9, abs=0.0) for f in fits]
+        assert edge == [False] * 4 + [True] * 2
+        for y, fit, on_edge in zip(Y, fits, edge):
+            if on_edge:
+                self.assert_flagged_as_degenerate(Family.TWO_COMP, t, y, fit)
+            else:
+                assert fit.converged
 
 
 class TestMonotoneCone:
