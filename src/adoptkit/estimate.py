@@ -39,6 +39,8 @@ COND_SINGULAR = 1e12
 #: ftol of the package's least-squares solves: SSEs that differ by less than
 #: this relative amount are equal to within the solves' resolution
 SOLVE_FTOL = 1e-12
+#: the clip of every coordinate iterated in logs, w = log p, which keeps exp(w) finite
+_LOG_CLIP = 40.0
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,8 @@ class _Separable:
     w = p; ``box`` names the start-grid range of each (``_ranges``).
     """
 
+    dcolumns = None  # dA/dw in closed form, where a family has it: ``_fit_coords`` then takes lmder
+
     def __init__(self, family: Family, amplitudes: list[int], box: tuple[str, ...]):
         positive = np.array(curves.FAMILY_POSITIVE[family])
         self.family, self.amplitudes, self.box = family, amplitudes, box
@@ -156,12 +160,11 @@ class _Separable:
         self.order = np.argsort(amplitudes + self.nonlinear).tolist()
 
     def params(self, w: np.ndarray) -> np.ndarray:
-        # the clip keeps exp finite when a coordinate runs off
-        return np.where(self.logs, np.exp(w.clip(-40.0, 40.0)), w)
+        return np.where(self.logs, np.exp(w.clip(-_LOG_CLIP, _LOG_CLIP)), w)
 
     def coords(self, theta: np.ndarray) -> np.ndarray:
         p = theta[self.nonlinear]
-        return np.where(self.logs, np.log(np.maximum(p, 1e-12)), p)
+        return np.where(self.logs, np.log(np.maximum(p, np.exp(-_LOG_CLIP))), p)
 
     def theta(self, w: np.ndarray, c) -> np.ndarray:
         return np.concatenate([c, self.params(w)])[self.order]
@@ -197,7 +200,7 @@ class _TwoComp(_Separable):
         """dA/dw (shape (2, 2, n), dA[j] = dA/dw_j) from the columns ``A``
         at ``w``: -alpha*t*exp(-alpha*t) and beta*t*exp(-beta*t), 0 past
         the clip, where a rate is constant."""
-        rates = [[-math.exp(v) if abs(v) <= 40.0 else 0.0] for v in w.tolist()]
+        rates = [[-math.exp(v) if abs(v) <= _LOG_CLIP else 0.0] for v in w.tolist()]
         return self._PLACE * ((A - self._ONE) * (t * np.array(rates)))
 
 
@@ -244,7 +247,7 @@ class _MonotoneCone(_Separable):
     >= 0 times u = (1 - exp(-beta*t))/beta and exp(-alpha*t) + alpha*u (the
     rays n0 = 0 and alpha*n0 = beta*umax, over beta) at w = (log beta,
     log(alpha - beta)). Like the free family's columns, u is taken by
-    ``expm1``, so the limits keep finite, exact columns at the clip w = -40:
+    ``expm1``, so the limits keep finite, exact columns at the clip w = -_LOG_CLIP:
     t and exp(-alpha*t) + alpha*t as beta -> 0 (a deep trough's infimum),
     u and 1 as alpha -> beta."""
 
@@ -390,16 +393,16 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev:
     (the components' roles swapped). The best polish wins: MINPACK's
     Levenberg-Marquardt (``_lmdif``), or for the double exponential a
     trust-region solve bounded by its box, which keeps its collapse to one
-    exponential cheap. The two-component curve's polish is lmder with the
-    exact Jacobian (``_vp_jacobian`` of ``_TwoComp.dcolumns``, from the
-    columns of the last evaluation); the other families' (and the monotone
-    cone's) is lmdif with forward differences. ``max_nfev`` caps a polish's
-    function plus Jacobian evaluations. A run that uses up its budget, or
-    whose residuals are not finite, is dropped.
+    exponential cheap. A separable with closed-form ``dcolumns``
+    (``_TwoComp``, ``_PinnedTstar``) is polished by lmder with the exact
+    Jacobian (``_vp_jacobian``, from the columns of the last evaluation);
+    the others (and the monotone cone) by lmdif with forward differences.
+    ``max_nfev`` caps a polish's function plus Jacobian evaluations. A run
+    that uses up its budget, or whose residuals are not finite, is dropped.
 
-    The two-component polishes run ``_polish_many``'s merit filter on its
-    cold pairs: once a polish has ended certified (status != 0, finite
-    SSE), a later start stops at the first Jacobian whose Gauss-Newton model
+    The lmder polishes run ``_polish_many``'s merit filter (it acts on the
+    cold two-component pairs): once a polish has ended certified (status !=
+    0, finite SSE), a later start stops at the first Jacobian whose model
     minimum is ``_beaten`` by the least such SSE, and is dropped as beaten
     (not counted as exhausted). So the alpha > beta start, polished first,
     keeps a tie within the 1e-6 margin, and a deep trough's alpha < beta
@@ -429,7 +432,7 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev:
             return least_squares(residual, np.clip(w0, lb, ub), bounds=(lb, ub), method="trf",
                                  xtol=1e-12, ftol=SOLVE_FTOL, gtol=1e-12, max_nfev=max_nfev)
         try:
-            res = _lmdif(residual, w0, max_nfev, jacobian if isinstance(sep, _TwoComp) else None)
+            res = _lmdif(residual, w0, max_nfev, None if sep.dcolumns is None else jacobian)
         except _Beaten:
             return None
         if res.status != 0 and math.isfinite(res.cost):
@@ -465,7 +468,7 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev:
 def _cone_free(theta: ThetaTwoComp) -> list[float]:
     """A free fit's cone coordinates, on the alpha = beta limit if alpha <= beta."""
     gap = theta.alpha - theta.beta
-    return [math.log(theta.beta), math.log(gap) if gap > 0 else -40.0]
+    return [math.log(theta.beta), math.log(gap) if gap > 0 else -_LOG_CLIP]
 
 
 def _monotone_sse_many(t: np.ndarray, Y: np.ndarray, thetas: list[ThetaTwoComp]):
@@ -544,7 +547,7 @@ def fit_nls(
     the family requires it; a cold two-component fit stops its second start
     once the first has beaten it (the merit filter). A double-exponential
     optimum on the edge of its region, and a fit of any family with a
-    parameter iterated in logs at its clip exp(+-40), is returned with
+    parameter iterated in logs at its clip (``_LOG_CLIP``), is returned with
     ``converged=False`` and ``cov_unreliable``. The bi-logistic and
     double-exponential components come back fastest first.
 
@@ -598,7 +601,7 @@ def _fit_reports(family: Family, t: np.ndarray, Y: np.ndarray, Theta: np.ndarray
     ``Y[i]`` (shape (B, n)) on the times ``t``, found in ``nfev[i]``
     evaluations: residuals, AIC, covariance, the flags and the stationarity
     check. A fit on an edge, ``degenerate`` or with a parameter iterated in
-    logs at ``_Separable.params``' clip exp(+-40) (a rate run off to 0 or
+    logs at ``_Separable.params``' clip exp(+-_LOG_CLIP) (a rate run off to 0 or
     infinity), is flagged ``converged=False`` and ``cov_unreliable``. The
     Jacobians, J'J, its condition numbers and inverses are taken for all
     rows at once (stacked ``matmul`` and ``np.linalg``), so a row's bytes
@@ -621,7 +624,7 @@ def _fit_reports(family: Family, t: np.ndarray, Y: np.ndarray, Theta: np.ndarray
     sse = np.array([np.dot(e, e) for e in E])
     sigma2, msr = sse / (n - k), sse / n
     P = Theta[:, _SEPARABLE[family].in_logs]
-    edge = degenerate | ((P <= math.exp(-40.0) * (1 + 1e-9)) | (P >= math.exp(40.0) * (1 - 1e-9))).any(axis=1)
+    edge = degenerate | ((P <= math.exp(-_LOG_CLIP) * (1 + 1e-9)) | (P >= math.exp(_LOG_CLIP) * (1 - 1e-9))).any(axis=1)
     errors = {}
     for i in singular.nonzero()[0]:
         try:
@@ -786,8 +789,8 @@ def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, 
     (SOLVE_FTOL), xtol (1e-12, on ``_lmdif``'s shifted coordinates) and gtol
     (1e-12) tests, with the projected residual's Jacobian by forward
     differences at lmdif's step, evaluated with each trial point (the scalar
-    two-component polish takes the exact one, ``_vp_jacobian``, whose
-    derivative columns ``_TwoComp.dcolumns`` would serve a batch too). Every
+    polishes of a separable with closed-form ``dcolumns`` take the exact one,
+    ``_vp_jacobian``; ``_TwoComp.dcolumns`` would serve a batch too). Every
     operation is elementwise or a sum along a row (``np.einsum``, no BLAS):
     a row's numbers do not depend on its batch, and nothing raises. The
     active rows' state is one array, a row per field, so an iteration makes
@@ -1046,7 +1049,8 @@ class WindowSpec:
     ``min_obs_per_side`` observations in both [T0-W, T0) and (T0, T0+W] and at
     most ``max_weekends`` weekend pairs per side (adjacent dow 5,6
     observations). Without dow metadata the weekend constraint is skipped and
-    flagged.
+    flagged. ValidationError for a time that is not finite, a length that is
+    not an integer >= 10, ``min_obs_per_side`` < 1 or ``max_weekends`` < 0.
     """
 
     intervention_time: float
@@ -1055,10 +1059,12 @@ class WindowSpec:
     max_weekends: int = 1
 
     def __post_init__(self):
-        if self.window_length_days < 10:
-            raise ValidationError("window_length_days must be >= 10")
-        if self.min_obs_per_side < 1:
-            raise ValidationError("min_obs_per_side must be >= 1")
+        if not math.isfinite(self.intervention_time):
+            raise ValidationError(f"intervention_time must be finite, got {self.intervention_time}")
+        if not isinstance(self.window_length_days, (int, np.integer)) or self.window_length_days < 10:
+            raise ValidationError("window_length_days must be an integer >= 10")
+        if self.min_obs_per_side < 1 or self.max_weekends < 0:
+            raise ValidationError("min_obs_per_side must be >= 1 and max_weekends >= 0")
 
 
 @dataclass(frozen=True)
@@ -1239,61 +1245,52 @@ class ProfileCI:
     upper_reached: bool
 
 
-def _profile_model(t: np.ndarray, y: np.ndarray, t0: float):
-    """The residual and Jacobian in w = (log alpha, log beta) of the
-    two-component curve pinned to t* = t0, for ``_lmdif``.
+class _PinnedTstar(_Separable):
+    """The two-component curve pinned to t* = t0, for ``_fit_coords`` alone
+    (``solve``, ``dcolumns``): n0 = (beta*umax/alpha) * exp(t0*(alpha -
+    beta)) makes it umax >= 0 times one column at w = (log alpha, log beta),
+    clipped as ``params``; ``dcolumns`` reuses the terms of the last ``solve``."""
 
-    With n0 = (beta*umax/alpha) * exp(t0*(alpha - beta)) the model is umax
-    times one column a, and umax >= 0 is solved at each w. The Jacobian is
-    ``_vp_jacobian``'s from the last evaluation's terms.
-    """
-    last = []  # the rates, the column's two exponential terms, a, umax and the residual
-    lead = t0 - t
+    def __init__(self, t0: float):
+        self.family, self.t0 = Family.TWO_COMP, t0
 
-    def residual(w):
-        alpha, beta = np.exp(np.clip(w, -30.0, 30.0)).tolist()
-        e = t0 * (alpha - beta) - alpha * t
+    def solve(self, w: np.ndarray, t: np.ndarray, y: np.ndarray):
+        alpha, beta = np.exp(w.clip(-_LOG_CLIP, _LOG_CLIP)).tolist()
+        e = self.t0 * (alpha - beta) - alpha * t
         # the fit does not depend on the column's scale: where its square
         # could overflow, it is divided by exp(m), m from its largest exponent
         m = max(float(e[0]) - 300.0, 0.0)
         novelty, utility = (beta / alpha) * np.exp(e - m), np.exp(-m - beta * t)
         a = novelty + math.exp(-m) - utility
-        u = max(float(a @ y), 0.0) / float(a @ a)
-        last[:] = alpha, beta, novelty, utility, a, u, u * a - y
-        return last[-1]
+        self.terms = alpha, beta, novelty, utility  # the rates and the column's exponential terms
+        return a[None], np.array([max(float(a @ y), 0.0) / float(a @ a)])
 
-    def jacobian(w):
+    def dcolumns(self, w: np.ndarray, t: np.ndarray, A: np.ndarray) -> np.ndarray:
         # the derivatives at a fixed scale exp(-m): a change of scale moves
         # the column along itself, which leaves the residual alone
-        alpha, beta, novelty, utility, a, u, r = last
-        dA = np.array([[novelty * (alpha * lead - 1.0)], [novelty * (1.0 - beta * t0) + (beta * t) * utility]])
+        alpha, beta, novelty, utility = self.terms
+        dA = np.array([[novelty * (alpha * (self.t0 - t) - 1.0)],
+                       [novelty * (1.0 - beta * self.t0) + (beta * t) * utility]])
         for j, v in enumerate(w.tolist()):
-            if abs(v) > 30.0:  # past the clip the rate is constant
+            if abs(v) > _LOG_CLIP:  # past the clip the rate is constant
                 dA[j] = 0.0
-        return _vp_jacobian(a[None], np.array([u]), r, dA)
-
-    return residual, jacobian
+        return dA
 
 
 def _profile_sse(series: TimeSeries, t0: float, start: np.ndarray) -> tuple[float, np.ndarray]:
-    """SSE minimized over (alpha, umax, beta) with n0 pinned so that t*(theta) = t0.
-
-    Only w = (log alpha, log beta) is iterated (``_profile_model``), from
-    ``start``, by ``_lmdif`` with the exact Jacobian. Returns (SSE, w).
-    """
-    residual, jacobian = _profile_model(series.times, series.values, t0)
-    res = _lmdif(residual, start, 4000, jacobian)
-    if res.status == 0:
-        raise NonConvergence(f"profile fit did not converge at t0={t0}")
+    """(SSE, w) of ``_PinnedTstar(t0)``, the curve with t* = t0, polished from
+    ``start`` by ``_fit_coords`` (NonConvergence past 4000 evaluations)."""
+    res = _fit_coords(_PinnedTstar(t0), series.times, series.values, [start], 4000)
     return 2.0 * res.cost, res.x
 
 
 def profile_ci_tstar(series: TimeSeries, level: float = 0.95, max_steps: int = 400) -> ProfileCI:
     """Invert the profile likelihood in t* by constrained refitting.
 
-    CI = {t0 : n*log(SSE(t0)/SSE_hat) <= chi2_1 quantile}. A bound not found
-    within ``max_steps`` steps, or clipped at t = 0, is flagged not reached.
-    Grid points where the constrained refit fails are skipped and counted.
+    CI = {t0 : n*log(SSE(t0)/SSE_hat) <= chi2_1 quantile}, walked in steps
+    of 5% of t* by ``_profile_sse`` refits, each warm-started at the last. A
+    bound not found within ``max_steps`` steps, or clipped at t = 0, is
+    flagged not reached; steps whose refit fails are skipped and counted.
     Raises ValidationError before any fit for a ``level`` outside (0, 1) or
     ``max_steps`` < 1.
     """

@@ -145,7 +145,8 @@ def theta_for_depth(
 @dataclass(frozen=True)
 class ScenarioGrid:
     """Cross product of truths, error models, and design sizes; ValidationError
-    for replicates or shape_boot below 1, a negative seed or n_points below 5."""
+    for replicates or shape_boot below 1, a negative seed, n_points below 5,
+    a horizon that is not finite and > 0, or a level outside (0, 1)."""
 
     thetas: tuple[ThetaTwoComp, ...]
     error_models: tuple[ErrorModel, ...]
@@ -165,8 +166,9 @@ class ScenarioGrid:
         object.__setattr__(self, "n_points", ns)
         if self.replicates < 1 or self.shape_boot < 1 or self.seed < 0:
             raise ValidationError("replicates and shape_boot must be >= 1 and seed >= 0")
-        if any(n < 5 for n in ns):
-            raise ValidationError("n_points must be >= 5")
+        if any(n < 5 for n in ns) or not 0.0 < self.horizon < math.inf:
+            raise ValidationError("n_points must be >= 5 and horizon finite and > 0")
+        estimate._check_level(self.level)
 
 
 @dataclass(frozen=True)

@@ -359,6 +359,16 @@ class TestBenchmarkCommand:
             (s, r) for s in ("0.02", "0.05", "0.1") for r in ("0", "0.3", "0.6")
         }
 
+    @pytest.mark.parametrize("horizon", ["0", "-5", "inf"])
+    def test_horizon_not_positive_exits_2(self, capsys, tmp_path, horizon):
+        # before: horizon 0 exited 0 with every replicate failed as NonMonotoneTime
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"depths = 0.2\nsigmas = 0.05\nrhos = 0\nreplicates = 2\nhorizon = {horizon}\n")
+        code = cli.main(["benchmark", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "error:" in captured.err and "horizon" in captured.err
+
     def test_pilot_reference(self, capsys):
         payload = run_json(capsys, ["pilot", "--seed", "42", "--n-tasks", "200"])
         assert payload["r_chat"] == pytest.approx(0.59)

@@ -431,6 +431,16 @@ class TestPrePost:
         assert rep.weekend_rule_applied
         assert rep.window_used == 10
 
+    @pytest.mark.parametrize("field", [
+        {"intervention_time": math.nan}, {"intervention_time": math.inf},
+        {"window_length_days": 10.5}, {"max_weekends": -1},
+    ], ids=["time-nan", "time-inf", "length-10.5", "weekends-negative"])
+    def test_window_spec_range_checks(self, field):
+        # before: a bare ValueError, an OverflowError and a TypeError inside
+        # prepost_delta_beta, and every window with dow data infeasible
+        with pytest.raises(ValidationError):
+            WindowSpec(**{"intervention_time": 15.0, **field})
+
     def test_every_row_through_the_fallback_matches_the_per_replicate_loop(self, monkeypatch):
         monkeypatch.setattr(estimate, "_BATCH_MAX_ITER", 0)
         for series, n_boot, seed in [
@@ -1439,6 +1449,16 @@ class TestProfileSse:
         sse, _ = estimate._profile_sse(series, ak.critical_time(theta), start)
         assert sse == pytest.approx(fit.sse, rel=1e-8)
 
+    @pytest.mark.parametrize("theta", [ThetaTwoComp(3.0, 0.8, 2.0, 0.25), ThetaTwoComp(1.0, 2.0, 2.0, 0.5),
+                                       ThetaTwoComp(5.0, 0.3, 2.0, 0.1)], ids=str)
+    def test_noise_free_trough_recovered(self, theta):
+        # pinned at the truth's t*, the refit from half a log unit away finds the truth
+        series = noiseless_series(theta, n=21)
+        truth = np.log([theta.alpha, theta.beta])
+        sse, w = estimate._profile_sse(series, ak.critical_time(theta), truth + 0.5)
+        assert sse <= 1e-24 * float(series.values @ series.values)
+        np.testing.assert_allclose(w, truth, rtol=0.0, atol=1e-12)
+
 
 def central_differences(residual, w, h=1e-6):
     """d residual / dw by central differences, shape (2, n)."""
@@ -1514,9 +1534,14 @@ class TestExactJacobian:
         assert not J[np.abs(w) > 40.0].any() and J[np.abs(w) < 40.0].any()
 
     def profile_jacobian(self, y, t0, w):
-        residual, jacobian = estimate._profile_model(self.T, y, t0)
-        residual(w)
-        J = jacobian(w)
+        sep = estimate._PinnedTstar(t0)
+
+        def residual(w):
+            A, c = sep.solve(w, self.T, y)
+            return c @ A - y
+
+        A, c = sep.solve(w, self.T, y)
+        J = estimate._vp_jacobian(A, c, c @ A - y, sep.dcolumns(w, self.T, A))
         self.assert_matches(J, residual, w)
         return J
 
@@ -1698,6 +1723,40 @@ class TestEdgeFlag:
                 self.assert_flagged_as_degenerate(Family.TWO_COMP, t, y, fit)
             else:
                 assert fit.converged
+
+
+class TestLogClip:
+    """A coordinate iterated in logs is taken at exp(w), w clipped at
+    +-``_LOG_CLIP``; ``coords`` inverts ``params`` up to the clip."""
+
+    @pytest.mark.parametrize("family", list(estimate._SEPARABLE), ids=lambda f: f.value)
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_coords_invert_params(self, family, data):
+        # before: coords floored p at 1e-12, log -27.6
+        sep = estimate._SEPARABLE[family]
+        d = len(sep.nonlinear)
+        w = np.array(data.draw(st.lists(st.floats(-40.0, 40.0), min_size=d, max_size=d)))
+        theta = sep.theta(w, np.ones(len(sep.amplitudes)))
+        np.testing.assert_allclose(sep.coords(theta), w, rtol=0.0, atol=1e-12)
+
+    def test_warm_start_from_an_edge_fit_is_that_fit(self, monkeypatch):
+        # constrained760 key (0, 0, 31, 3) ends at alpha = exp(-40): the block
+        # bootstrap's warm start is that fit, not alpha = 1e-12
+        series = simgen.gen_series(simgen.theta_for_depth(0.0), fisher.GaussianIid(0.15), 31, 20.0,
+                                   seed=(7800, 0, 31, 3))
+        fit = estimate.fit_nls(series)
+        sep, polish_many, starts = estimate._SEPARABLE[Family.TWO_COMP], estimate._polish_many, []
+
+        def recorded(sep, t, Y, w0, *args):
+            starts.append(w0)
+            return polish_many(sep, t, Y, w0, *args)
+
+        monkeypatch.setattr(estimate, "_polish_many", recorded)
+        estimate._refit_betas(series.times, series.values[None], fit.theta)
+        (w0,) = starts
+        np.testing.assert_allclose(w0, [-40.0, math.log(fit.theta[3])], rtol=0.0, atol=1e-12)
+        assert sep.theta(w0, fit.theta[sep.amplitudes]) == pytest.approx(fit.theta, rel=1e-12, abs=0.0)
 
 
 class TestMonotoneCone:

@@ -111,6 +111,17 @@ class TestBenchmark:
             simgen.ScenarioGrid(thetas=(simgen.theta_for_depth(0.0),), error_models=(GaussianIid(0.05),),
                                 n_points=(21,), **field)
 
+    @pytest.mark.parametrize("field", [
+        {"level": 1.5}, {"level": 0.0}, {"level": float("nan")},
+        {"horizon": 0.0}, {"horizon": -20.0}, {"horizon": float("inf")}, {"horizon": float("nan")},
+    ], ids=["level1.5", "level0", "level-nan", "horizon0", "horizon-negative", "horizon-inf", "horizon-nan"])
+    def test_grid_level_and_horizon_checks(self, field):
+        # before: level 1.5 reported coverage_tstar 0.0 (every delta-method CI
+        # raised and counted as a miss), horizon 0 failed every replicate
+        with pytest.raises(ValidationError):
+            simgen.ScenarioGrid(thetas=(simgen.theta_for_depth(0.2),), error_models=(GaussianIid(0.05),),
+                                n_points=(21,), **field)
+
     def test_bitwise_reproducible_across_threads(self):
         grid = self.small_grid()
         a = simgen.run_benchmark(grid, threads=1)
