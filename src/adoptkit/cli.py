@@ -2,9 +2,12 @@
 
 Subcommands: fit, phase, crlb, test, compare, threshold, simulate, benchmark,
 pilot. Every command is a deterministic function of (flags, input files,
-seed) and prints canonical JSON (or CSV for ``simulate``); repeated runs are
-byte-identical. Exit status: 0 success, 2 validation error (a malformed
-flag too: argparse exits 2), 3 numerical failure.
+seed), so repeated runs are byte-identical. Its handler returns the output:
+a payload that ``main`` serialises as canonical JSON, or the CSV text of
+``simulate``. ``main`` alone writes it to ``--out`` and stdout and sets the
+exit status: 0 success, 2 validation error (a malformed flag too: argparse
+exits 2; an input file that cannot be read, an output path that cannot be
+written), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import curves, datasets, econ, estimate, fisher, infer, jsonio, simgen
 from .curves import Family, ThetaTwoComp
-from .errors import AdoptkitError, NumericalError, ParseError, ValidationError
+from .errors import AdoptkitError, ParseError, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -31,9 +34,9 @@ def _load_series(spec: str, t_col: str, y_col: str, dow_col: str | None) -> esti
     return jsonio.load_csv(spec, t_col=t_col, y_col=y_col, dow_col=dow_col)
 
 
-def _floats(text: str) -> list[float]:
+def _floats(text: str, kind=float) -> list:
     """An argparse type: comma-separated numbers, empty items skipped."""
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+    return [kind(v) for v in text.split(",") if v.strip() != ""]
 
 
 def _seed(text: str) -> int:
@@ -79,28 +82,17 @@ def _error_model(args) -> fisher.ErrorModel:
     return fisher.BinomialCounts(args.m, args.trials)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
-
-
-def _emit_json(payload, out: str | None) -> None:
-    _emit(jsonio.dumps_canonical(payload), out)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> dict:
     series = _load_series(args.data, args.t_col, args.y_col, args.dow_col)
     fit = estimate.fit_nls(series, args.family, init=args.init or None, max_iter=args.max_iter, tol=args.tol)
-    _emit_json(fit.to_dict(), args.out)
-    return EXIT_OK
+    return fit.to_dict()
 
 
-def cmd_phase(args) -> int:
+def cmd_phase(args) -> dict:
     theta = ThetaTwoComp(args.n0, args.alpha, args.umax, args.beta)
     report = curves.classify_phase(theta)
     payload = {
@@ -115,19 +107,16 @@ def cmd_phase(args) -> int:
         payload["tstar_sensitivities"] = {
             "alpha": sens[0], "beta": sens[1], "n0": sens[2], "umax": sens[3],
         }
-    _emit_json(payload, args.out)
-    return EXIT_OK
+    return payload
 
 
-def cmd_crlb(args) -> int:
+def cmd_crlb(args) -> fisher.InfoReport:
     theta = ThetaTwoComp(args.n0, args.alpha, args.umax, args.beta)
-    times = np.array(args.times) if args.times else np.linspace(0.0, args.horizon, args.n_points)
-    report = fisher.info_matrix(theta, times, _error_model(args))
-    _emit_json(report, args.out)
-    return EXIT_OK
+    times = np.array(args.times) if args.times else simgen.equispaced(args.n_points, args.horizon)
+    return fisher.info_matrix(theta, times, _error_model(args))
 
 
-def cmd_test(args) -> int:
+def cmd_test(args) -> dict:
     series = _load_series(args.data, args.t_col, args.y_col, args.dow_col)
     if args.which in ("dw", "bp"):
         fit = estimate.fit_nls(series, "twocomp")
@@ -148,11 +137,10 @@ def cmd_test(args) -> int:
         result = infer.constrained_lr(series)
     else:
         result = infer.shape_test(series, n_boot=args.n_boot, seed=args.seed)
-    _emit_json({"statistic": result.statistic, "p": result.p_value, "method": result.method}, args.out)
-    return EXIT_OK
+    return {"statistic": result.statistic, "p": result.p_value, "method": result.method}
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> dict:
     series = _load_series(args.data, args.t_col, args.y_col, args.dow_col)
     rows = []
     fitted_curves: dict[str, np.ndarray] = {}
@@ -191,50 +179,40 @@ def cmd_compare(args) -> int:
                 )
                 vuongs[other] = {"t_v": res.statistic, "p": res.p_value}
         payload["vuong_twocomp_vs"] = vuongs
-    _emit_json(payload, args.out)
     if args.plot_out:
         jsonio.save_tidy_curves(args.plot_out, series, fitted_curves)
-    return EXIT_OK
+    return payload
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args) -> dict | econ.ThresholdReport:
+    mu_c = args.mu_c
     if args.economy:
         economy = jsonio.load_task_economy(args.economy, c_time=args.c_time, c_fric=args.c_fric)
-        args.mu_c = sum(t.w * t.c_f for t in economy.tasks)
-    if args.mu_c is None:
+        mu_c = sum(t.w * t.c_f for t in economy.tasks)
+    if mu_c is None:
         raise ValidationError("either --mu-c or --economy is required")
     if args.sigma_mu is None:
-        r_star = econ.agency_threshold(
-            args.r_chat, args.delta_tau, args.delta_phi, args.c_time, args.c_fric, args.mu_c
-        )
-        _emit_json({"r_star": r_star}, args.out)
-        return EXIT_OK
-    report = econ.threshold_uncertainty(
+        return {"r_star": econ.agency_threshold(
+            args.r_chat, args.delta_tau, args.delta_phi, args.c_time, args.c_fric, mu_c
+        )}
+    return econ.threshold_uncertainty(
         args.r_chat, args.delta_tau, args.delta_phi, args.c_time, args.c_fric,
-        args.mu_c, args.sigma_mu, level=args.level, c_max=args.c_max, n=args.n_samples,
+        mu_c, args.sigma_mu, level=args.level, c_max=args.c_max, n=args.n_samples,
     )
-    _emit_json(report, args.out)
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     theta = ThetaTwoComp(args.n0, args.alpha, args.umax, args.beta)
     series = simgen.gen_series(theta, _error_model(args), args.n_points, args.horizon, seed=args.seed)
-    import io
-
-    buf = io.StringIO()
-    buf.write("t,y\n")
-    for i in range(len(series)):
-        buf.write(f"{float(series.times[i])!r},{float(series.values[i])!r}\n")
-    _emit(buf.getvalue(), args.out)
-    return EXIT_OK
+    rows = zip(series.times.tolist(), series.values.tolist())
+    return "t,y\n" + "".join(f"{t!r},{y!r}\n" for t, y in rows)
 
 
 def _parse_benchmark_config(path: str) -> dict:
     if not Path(path).is_file():
         raise ParseError(f"no such file: {path}")
     cfg: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in jsonio.read_utf8(Path(path)).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -245,7 +223,7 @@ def _parse_benchmark_config(path: str) -> dict:
     return cfg
 
 
-def cmd_benchmark(args) -> int:
+def cmd_benchmark(args) -> simgen.BenchmarkReport:
     cfg = _parse_benchmark_config(args.config) if args.config else {}
 
     def value(key: str, default, convert):
@@ -257,7 +235,7 @@ def cmd_benchmark(args) -> int:
     depths = value("depths", "0,0.1,0.2,0.3", _floats)
     sigmas = value("sigmas", "0.02,0.05,0.1", _floats)
     rhos = value("rhos", "0,0.3,0.6", _floats)
-    ns = value("n_points", "21,41", lambda text: [int(v) for v in _floats(text)])
+    ns = value("n_points", "21,41", lambda text: _floats(text, int))
     alpha = value("alpha", 0.8, float)
     beta = value("beta", 0.25, float)
     umax = value("umax", 2.0, float)
@@ -274,10 +252,9 @@ def cmd_benchmark(args) -> int:
         shape_boot=value("shape_boot", 200, int),
     )
     report = simgen.run_benchmark(grid, threads=args.threads)
-    _emit_json(report, args.out)
     if args.out_csv:
         _write_benchmark_csv(report, args.out_csv)
-    return EXIT_OK
+    return report
 
 
 def _write_benchmark_csv(report, path: str) -> None:
@@ -308,10 +285,9 @@ def _write_benchmark_csv(report, path: str) -> None:
             writer.writerow(row)
 
 
-def cmd_pilot(args) -> int:
+def cmd_pilot(args) -> simgen.PilotResult:
     cfg = simgen.PilotConfig(seed=args.seed, n_tasks=args.n_tasks)
-    _emit_json(simgen.pilot_sim(cfg), args.out)
-    return EXIT_OK
+    return simgen.pilot_sim(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", type=_floats, default=None, help="comma-separated start values")
     p.add_argument("--max-iter", type=int, default=1000, help="LM iteration budget")
     p.add_argument("--tol", type=float, default=1e-6, help="stationarity tolerance")
-    p.add_argument("--out", default=None, help="also write JSON to this path")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("phase", help="classify a parameter vector (trough/overshoot/monotone)")
     _add_theta_args(p)
-    p.add_argument("--out", default=None, help="also write JSON to this path")
     p.set_defaults(func=cmd_phase)
 
     p = sub.add_parser("crlb", help="Fisher information and profiled CRLBs for a design")
@@ -349,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", type=_floats, default=None, help="comma-separated design times")
     p.add_argument("--n-points", type=int, default=21, help="equispaced design size")
     p.add_argument("--horizon", type=float, default=20.0, help="equispaced design horizon")
-    p.add_argument("--out", default=None, help="also write JSON to this path")
     p.set_defaults(func=cmd_crlb)
 
     p = sub.add_parser("test", help="diagnostics and model-comparison tests")
@@ -361,12 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="vuong: model b")
     p.add_argument("--n-boot", type=int, default=1000, help="shape-test bootstrap resamples")
     p.add_argument("--seed", type=_seed, default=0, help="bootstrap seed")
-    p.add_argument("--out", default=None, help="also write JSON to this path")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("compare", help="fit all six families and tabulate AIC/RMSE/DW/BP")
     _add_data_args(p)
-    p.add_argument("--out", default=None, help="also write JSON to this path")
     p.add_argument("--plot-out", default=None, help="write tidy (series,t,value) CSV here")
     p.set_defaults(func=cmd_compare)
 
@@ -383,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.95, help="confidence level")
     p.add_argument("--c-max", type=float, default=None, help="failure-cost upper bound")
     p.add_argument("--n-samples", type=int, default=None, help="failure-cost sample size")
-    p.add_argument("--out", default=None, help="also write JSON to this path")
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("simulate", help="generate one synthetic series as CSV")
@@ -392,37 +362,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-points", type=int, default=21, help="number of points")
     p.add_argument("--horizon", type=float, default=20.0, help="time horizon")
     p.add_argument("--seed", type=_seed, default=0, help="RNG seed")
-    p.add_argument("--out", default=None, help="also write CSV to this path")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("benchmark", help="coverage/type-I/power benchmark over a scenario grid")
     p.add_argument("--config", default=None, help="key = value grid file (# comments)")
     p.add_argument("--seed", type=_seed, default=0, help="master seed (config overrides)")
     p.add_argument("--threads", type=int, default=1, help="accepted and ignored (output-invariant)")
-    p.add_argument("--out", default=None, help="also write JSON to this path")
     p.add_argument("--out-csv", default=None, help="write per-scenario rows as CSV here")
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("pilot", help="chat-vs-agent pilot simulation")
     p.add_argument("--seed", type=_seed, default=42, help="RNG seed")
     p.add_argument("--n-tasks", type=int, default=200, help="number of tasks")
-    p.add_argument("--out", default=None, help="also write JSON to this path")
     p.set_defaults(func=cmd_pilot)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="also write the output to this path")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, write its output to ``--out`` (when given) and then to
+    stdout, and return the exit status. Nothing reaches stdout on an error."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ValidationError as exc:
+        payload = args.func(args)
+        text = payload if isinstance(payload, str) else jsonio.dumps_canonical(payload)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalError, AdoptkitError) as exc:
+    except AdoptkitError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    sys.stdout.write(text)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 from enum import Enum
@@ -66,20 +67,28 @@ def dumps_canonical(obj) -> str:
 # CSV
 # ---------------------------------------------------------------------------
 
+def read_utf8(path: Path) -> str:
+    """The text of a UTF-8 file, its newlines as stored; a file that is not
+    UTF-8 raises ParseError naming it."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not a UTF-8 file: {path} (byte {exc.start})") from None
+
+
 def _rows(path, columns) -> list[tuple[int, dict]]:
     """(file row number, row) of each data row of a headered, UTF-8 CSV
     file; raises ParseError unless the file has ``columns`` and a data row."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError("empty file, header row required")
-        for col in columns:
-            if col not in reader.fieldnames:
-                raise ParseError(f"missing column {col!r} in header {reader.fieldnames}")
-        rows = list(enumerate(reader, start=2))
+    reader = csv.DictReader(io.StringIO(read_utf8(path), newline=""))
+    if reader.fieldnames is None:
+        raise ParseError("empty file, header row required")
+    for col in columns:
+        if col not in reader.fieldnames:
+            raise ParseError(f"missing column {col!r} in header {reader.fieldnames}")
+    rows = list(enumerate(reader, start=2))
     if not rows:
         raise ParseError("no data rows")
     return rows

@@ -19,6 +19,15 @@ from .estimate import TimeSeries
 from .fisher import ErrorModel, GaussianIid
 
 
+def equispaced(n_points: int, horizon: float) -> np.ndarray:
+    """The design of n_points equispaced times from 0 to horizon."""
+    if n_points < 2:
+        raise ValidationError("n_points must be >= 2")
+    if not 0.0 < horizon < math.inf:
+        raise ValidationError("horizon must be finite and > 0")
+    return np.linspace(0.0, horizon, n_points)
+
+
 def gen_series(
     theta: ThetaTwoComp,
     em: ErrorModel,
@@ -28,11 +37,7 @@ def gen_series(
     unit: str = "day",
 ) -> TimeSeries:
     """Equispaced series on [0, horizon] with model noise; deterministic per seed."""
-    if n_points < 2:
-        raise ValidationError("n_points must be >= 2")
-    if not (horizon > 0):
-        raise ValidationError("horizon must be > 0")
-    times = np.linspace(0.0, horizon, n_points)
+    times = equispaced(n_points, horizon)
     rng = np.random.default_rng(seed)
     values = fisher.sample_observations(theta, times, em, rng)
     return TimeSeries(times, values, unit=unit)

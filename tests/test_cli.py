@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,9 @@ SUBCOMMANDS = [
     "fit", "phase", "crlb", "test", "compare", "threshold",
     "simulate", "benchmark", "pilot",
 ]
+
+
+THETA = ["--n0", "3", "--alpha", "0.8", "--umax", "2", "--beta", "0.25"]
 
 
 def run_cli(capsys, argv):
@@ -308,6 +312,91 @@ class TestSimulateAndIo:
         assert proc.returncode == 2 and "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+class TestOutputPath:
+    """``main`` writes every command's output: ``--out`` gets stdout's bytes,
+    and a file that cannot be read or written exits 2 with one error line."""
+
+    @staticmethod
+    def grid(tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("depths = 0.2\nsigmas = 0.05\nrhos = 0\nn_points = 21\n"
+                       "replicates = 4\nseed = 4\nshape_boot = 10\n")
+        return str(cfg)
+
+    def argv_for(self, sub, tmp_path):
+        return {
+            "fit": ["fit", "--data", "builtin:synthetic21", "--family", "logistic"],
+            "phase": ["phase", *THETA],
+            "crlb": ["crlb", *THETA, "--times", "0,1,2,18,19,20"],
+            "test": ["test", "--data", "builtin:synthetic21", "--which", "dw"],
+            "compare": ["compare", "--data", "builtin:synthetic21"],
+            "threshold": ["threshold", "--r-chat", "0.5", "--delta-tau", "0", "--delta-phi", "0",
+                          "--mu-c", "2.0"],
+            "simulate": ["simulate", *THETA, "--seed", "3"],
+            "benchmark": ["benchmark", "--config", self.grid(tmp_path)],
+            "pilot": ["pilot", "--n-tasks", "50"],
+        }[sub]
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, sub):
+        out = tmp_path / "result.out"
+        code, text = run_cli(capsys, [*self.argv_for(sub, tmp_path), "--out", str(out)])
+        assert code == 0 and text
+        assert out.read_bytes() == text.encode("utf-8")
+
+    @pytest.mark.parametrize("case", [
+        "pilot-out", "compare-plot-out", "benchmark-out-csv", "fit-data-dir", "threshold-economy-dir",
+        "fit-data-not-utf8", "threshold-economy-not-utf8", "benchmark-config-not-utf8",
+    ])
+    def test_file_errors_exit_2(self, capsys, tmp_path, case):
+        missing = str(tmp_path / "missing" / "x.out")
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes("t,y\n0,1.0\n1,2.0 # caf\u00e9\n".encode("latin-1"))
+        econ_args = ["threshold", "--r-chat", "0.5", "--delta-tau", "0.3", "--delta-phi", "0.1"]
+        argv = {
+            "pilot-out": ["pilot", "--n-tasks", "50", "--out", missing],
+            "compare-plot-out": ["compare", "--data", "builtin:synthetic21", "--plot-out", missing],
+            "benchmark-out-csv": ["benchmark", "--config", self.grid(tmp_path), "--out-csv", missing],
+            "fit-data-dir": ["fit", "--data", str(tmp_path)],
+            "threshold-economy-dir": [*econ_args, "--economy", str(tmp_path)],
+            "fit-data-not-utf8": ["fit", "--data", str(latin1)],
+            "threshold-economy-not-utf8": [*econ_args, "--economy", str(latin1)],
+            "benchmark-config-not-utf8": ["benchmark", "--config", str(latin1)],
+        }[case]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        if case.endswith("not-utf8"):
+            assert str(latin1) in lines[0] and "UTF-8" in lines[0]
+
+
+class TestEquispacedDesign:
+    @pytest.mark.parametrize("sub", ["simulate", "crlb"])
+    @pytest.mark.parametrize("flags,named", [
+        (["--horizon", "inf"], "horizon"),
+        (["--horizon", "nan"], "horizon"),
+        (["--horizon", "0"], "horizon"),
+        (["--n-points", "-1"], "n_points"),
+    ], ids=["horizon-inf", "horizon-nan", "horizon-0", "n-points-negative"])
+    def test_bad_design_flags_exit_2(self, capsys, sub, flags, named):
+        # before: horizon inf printed a RuntimeWarning and then "times must be
+        # finite"; crlb --n-points -1 raised a ValueError traceback
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([sub, *THETA, *flags])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not caught
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
+
+    def test_crlb_times_do_not_consult_the_design_flags(self, capsys):
+        payload = run_json(capsys, ["crlb", *THETA, "--times", "0,1,2,18,19,20",
+                                    "--horizon", "inf", "--n-points", "-1"])
+        assert payload["crlb_alpha"] > 0
+
+
 class TestBenchmarkCommand:
     def test_byte_identical_across_runs_and_threads(self, capsys, tmp_path):
         cfg = tmp_path / "grid.cfg"
@@ -368,6 +457,15 @@ class TestBenchmarkCommand:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "error:" in captured.err and "horizon" in captured.err
+
+    def test_n_points_must_be_integers(self, capsys, tmp_path):
+        # before: 21.7 ran silently with n = 21
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("depths = 0.2\nsigmas = 0.05\nrhos = 0\nn_points = 21.7\nreplicates = 2\n")
+        code = cli.main(["benchmark", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "'n_points'" in captured.err
 
     def test_pilot_reference(self, capsys):
         payload = run_json(capsys, ["pilot", "--seed", "42", "--n-tasks", "200"])

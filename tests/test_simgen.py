@@ -18,6 +18,14 @@ class TestGenSeries:
         assert s.values == pytest.approx(ak.eval_curve(THETA, s.times), abs=0.0)
         assert s.times[0] == 0.0 and s.times[-1] == 20.0
 
+    @pytest.mark.parametrize("n_points,horizon,named", [
+        (1, 20.0, "n_points"), (21, 0.0, "horizon"), (21, float("inf"), "horizon"),
+        (21, float("nan"), "horizon"),
+    ])
+    def test_design_checks(self, n_points, horizon, named):
+        with pytest.raises(ValidationError, match=named):
+            simgen.gen_series(THETA, GaussianIid(0.05), n_points, horizon)
+
     def test_deterministic_per_seed(self):
         a = simgen.gen_series(THETA, GaussianIid(0.05), 21, 20.0, seed=7)
         b = simgen.gen_series(THETA, GaussianIid(0.05), 21, 20.0, seed=7)
