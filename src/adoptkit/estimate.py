@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.optimize import OptimizeResult, least_squares, leastsq, nnls
+from scipy.optimize import least_squares, leastsq, nnls
 from scipy.special import gammaincinv, ndtri, stdtrit
 
 from . import curves
@@ -147,7 +148,7 @@ class _Separable:
     w = p; ``box`` names the start-grid range of each (``_ranges``).
     """
 
-    dcolumns = None  # dA/dw in closed form, where a family has it: ``_fit_coords`` then takes lmder
+    dcolumns = None  # dA/dw in closed form, where a family has it: ``_fit_coords`` then takes the exact Jacobian
 
     def __init__(self, family: Family, amplitudes: list[int], box: tuple[str, ...]):
         positive = np.array(curves.FAMILY_POSITIVE[family])
@@ -185,6 +186,16 @@ class _Separable:
         if len(self.amplitudes) == 3:
             return A, nnls(A.T, y)[0]
         return A, np.array(_amplitudes((A @ A.T).tolist(), (A @ y).tolist(), self.nonneg)[0])
+
+    def residuals(self, W: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The projected residuals c A - y at the rows of ``W`` (shape (m, d)),
+        shape (m, n), for one or two columns: one ``design`` call, and each
+        row's products by the BLAS call ``solve`` makes on it, so row r is
+        bit-equal to ``solve``'s residual at W[r]."""
+        A = np.ascontiguousarray(self.design(W, t).swapaxes(0, 1))  # (m, k, n)
+        rows = zip((A @ A.swapaxes(1, 2)).tolist(), (A @ y).tolist())
+        c = np.array([_amplitudes(G, b, self.nonneg)[0] for G, b in rows])
+        return (c[:, None] @ A)[:, 0] - y
 
 
 class _TwoComp(_Separable):
@@ -380,7 +391,7 @@ class _Beaten(Exception):
     """Raised from a polish's Jacobian to stop a start ``_beaten`` by a finished one."""
 
 
-def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev: int) -> OptimizeResult:
+def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev: int) -> _Polish:
     """The coordinates w, polished from each of ``starts`` (a list of w),
     or from the start rule's starts when ``starts`` is None.
 
@@ -391,14 +402,16 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev:
     the grid with the first pair fixed; after those polishes, the first pair
     is taken again from the grid with the second fixed at the best result
     (the components' roles swapped). The best polish wins: MINPACK's
-    Levenberg-Marquardt (``_lmdif``), or for the double exponential a
-    trust-region solve bounded by its box, which keeps its collapse to one
+    Levenberg-Marquardt, lmder (``_lmdif``), or for the double exponential
+    a trust-region solve bounded by its box, which keeps its collapse to one
     exponential cheap. A separable with closed-form ``dcolumns``
-    (``_TwoComp``, ``_PinnedTstar``) is polished by lmder with the exact
-    Jacobian (``_vp_jacobian``, from the columns of the last evaluation);
-    the others (and the monotone cone) by lmdif with forward differences.
-    ``max_nfev`` caps a polish's function plus Jacobian evaluations. A run
-    that uses up its budget, or whose residuals are not finite, is dropped.
+    (``_TwoComp``, ``_PinnedTstar``) takes the exact Jacobian
+    (``_vp_jacobian``, from the columns of the last evaluation); the others
+    (and the monotone cone) take lmdif's forward differences, their points
+    evaluated as one batch (``_Separable.residuals``), and repeat lmdif's
+    iterates. ``max_nfev`` caps a polish's function plus Jacobian
+    evaluations. A run that uses up its budget, or whose residuals are not
+    finite, is dropped.
 
     The lmder polishes run ``_polish_many``'s merit filter (it acts on the
     cold two-component pairs): once a polish has ended certified (status !=
@@ -413,6 +426,8 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev:
     best = [math.inf]  # the least SSE of a certified polish
 
     def residual(w):
+        if w.ndim > 1:  # the points of a forward-difference Jacobian
+            return sep.residuals(w, t, y)
         A, c = sep.solve(w, t, y)
         last[:] = A, c, c @ A - y
         return last[2]
@@ -429,8 +444,9 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev:
     def polish(w0):
         if sep.family == Family.DOUBLE_EXP:
             lb, ub = _ranges(t)["rate"]
-            return least_squares(residual, np.clip(w0, lb, ub), bounds=(lb, ub), method="trf",
-                                 xtol=1e-12, ftol=SOLVE_FTOL, gtol=1e-12, max_nfev=max_nfev)
+            res = least_squares(residual, np.clip(w0, lb, ub), bounds=(lb, ub), method="trf",
+                                xtol=1e-12, ftol=SOLVE_FTOL, gtol=1e-12, max_nfev=max_nfev)
+            return _Polish(res.x, float(res.cost), int(res.nfev), int(res.status))
         try:
             res = _lmdif(residual, w0, max_nfev, None if sep.dcolumns is None else jacobian)
         except _Beaten:
@@ -663,48 +679,89 @@ def _fit_reports(family: Family, t: np.ndarray, Y: np.ndarray, Theta: np.ndarray
     return reports, errors
 
 
-def _lmdif(residual, z0: np.ndarray, max_nfev: int, jacobian=None) -> OptimizeResult:
-    """Levenberg-Marquardt by MINPACK (``leastsq``): lmdif with its own
-    forward-difference Jacobian, or lmder with ``jacobian(w)``, the (d, n)
-    Jacobian of ``residual`` at w. ``jacobian`` is only called at the w of
-    the last ``residual`` call, so it may reuse that call's work; a repeated
-    call at the same point is not evaluated again.
+class _Polish(NamedTuple):
+    """A polish's end: the coordinates, half the SSE, the evaluations and
+    the status (0: budget used up)."""
+
+    x: np.ndarray
+    cost: float
+    nfev: int
+    status: int
+
+
+class _Spent(Exception):
+    """Raised from a polish's callback once lmdif would have stopped on its budget."""
+
+
+#: lmdif's relative difference step, sqrt(eps)
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+
+
+def _lmdif(residual, z0: np.ndarray, max_nfev: int, jacobian=None) -> _Polish:
+    """Levenberg-Marquardt by MINPACK's lmder (``leastsq``), with
+    ``jacobian(w)``, the (d, n) Jacobian of ``residual`` at w, or else with
+    lmdif's forward-difference Jacobian. ``jacobian`` is only called at the
+    w of the last ``residual`` call, so it may reuse that call's work; a
+    repeated call at the same point is not evaluated again.
 
     MINPACK gives the same result every time. lmdif's difference step
     sqrt(eps)*|x| vanishes near x = 0, where the differences drown in
     rounding, so it iterates x = z - z0 + 100 (a ~1.5e-6 step); lmder keeps
-    the shift, since its trust radius and xtol scale with ||D x||. The budget
-    ``max_nfev`` counts function plus Jacobian evaluations: lmder gets
-    max_nfev // 2 function evaluations, each step one of each. Returns the
-    fields of a ``least_squares`` result, ``nfev`` the evaluations of both
-    kinds; status 0: budget used up.
+    the shift, since its trust radius and xtol scale with ||D x||.
+
+    Without ``jacobian`` the Jacobian is MINPACK fdjac2's: column j is
+    (R(x + h_j e_j) - r(x)) / h_j with h_j = sqrt(eps)*|x_j| (eps where that
+    is 0), the d points evaluated as one batch (``residual`` of shape (d, d)
+    returns (d, n)). lmdif and lmder share their iteration, so the polish
+    repeats lmdif's iterates, and its budget counts as lmdif's: 1 per
+    function call and d per Jacobian. It stops, status 0, at the first call
+    after the trial that brings the count to ``max_nfev`` (lmdif's info 5).
+    With ``jacobian``, lmder gets max_nfev // 2 function evaluations, each
+    step one of each, and ``nfev`` counts both kinds.
     """
     shift = np.asarray(z0, dtype=float) - 100.0
     key, r, J = None, None, None
+    # calls counted as lmdif counts them: not scipy's shape checks, nor the
+    # one more call at z0 that comes before MINPACK's first
+    nfev, spent, here = -2, False, None
 
     def fun(x):
-        nonlocal key, r, J
+        nonlocal key, r, J, nfev, spent
+        if spent:
+            raise _Spent
         if x.tobytes() != key:
             key, r, J = x.tobytes(), residual(x + shift), None
+        nfev += 1
+        spent = jacobian is None and nfev > 1 and nfev >= max_nfev  # past 1: a trial point
         return r
 
     def jac(x):
-        nonlocal J
-        fun(x)
+        nonlocal J, nfev, here
         if J is None:
-            J = jacobian(x + shift)
+            if jacobian is not None:
+                J = jacobian(x + shift)
+            else:
+                h = [_FD_STEP * abs(v) or _FD_STEP for v in x.tolist()]
+                J = (residual(x + np.diag(h) + shift) - r) / np.array(h)[:, None]
+        if nfev > 0:
+            here = x + shift, r  # lmdif's x once the budget is spent
+            if spent:
+                raise _Spent
+            nfev += len(x)
         return J
 
-    exact = {} if jacobian is None else {"Dfun": jac, "col_deriv": True}
-    x, _, info, _, ier = leastsq(
-        fun, z0 - shift, full_output=True, xtol=1e-12, ftol=SOLVE_FTOL, gtol=1e-12,
-        maxfev=max_nfev if jacobian is None else max(max_nfev // 2, 1), **exact,
-    )
+    try:
+        x, _, info, _, ier = leastsq(
+            fun, z0 - shift, Dfun=jac, col_deriv=True, full_output=True, xtol=1e-12, ftol=SOLVE_FTOL,
+            gtol=1e-12, maxfev=max_nfev if jacobian is None else max(max_nfev // 2, 1),
+        )
+    except _Spent:
+        x, f = here
+        return _Polish(x, 0.5 * float(f @ f), nfev, 0)
     f = info["fvec"]
-    return OptimizeResult(
-        x=x + shift, cost=0.5 * float(f @ f), nfev=int(info["nfev"] + info.get("njev", 0)),
-        status=int(ier != 5),
-    )
+    if jacobian is not None:
+        nfev = int(info["nfev"] + info["njev"])
+    return _Polish(x + shift, 0.5 * float(f @ f), nfev, int(ier != 5))
 
 
 #: trial steps per row of ``_polish_many``; a row still active after them is
@@ -789,8 +846,9 @@ def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, 
     (SOLVE_FTOL), xtol (1e-12, on ``_lmdif``'s shifted coordinates) and gtol
     (1e-12) tests, with the projected residual's Jacobian by forward
     differences at lmdif's step, evaluated with each trial point (the scalar
-    polishes of a separable with closed-form ``dcolumns`` take the exact one,
-    ``_vp_jacobian``; ``_TwoComp.dcolumns`` would serve a batch too). Every
+    polishes of ``_lmdif`` take it at each accepted point, or the exact one,
+    ``_vp_jacobian``, for a separable with closed-form ``dcolumns``;
+    ``_TwoComp.dcolumns`` would serve a batch too). Every
     operation is elementwise or a sum along a row (``np.einsum``, no BLAS):
     a row's numbers do not depend on its batch, and nothing raises. The
     active rows' state is one array, a row per field, so an iteration makes
@@ -1247,8 +1305,9 @@ class ProfileCI:
 
 class _PinnedTstar(_Separable):
     """The two-component curve pinned to t* = t0, for ``_fit_coords`` alone
-    (``solve``, ``dcolumns``): n0 = (beta*umax/alpha) * exp(t0*(alpha -
-    beta)) makes it umax >= 0 times one column at w = (log alpha, log beta),
+    (``solve``, ``dcolumns``, and ``residuals`` row by row for a polish by
+    forward differences): n0 = (beta*umax/alpha) * exp(t0*(alpha - beta))
+    makes it umax >= 0 times one column at w = (log alpha, log beta),
     clipped as ``params``; ``dcolumns`` reuses the terms of the last ``solve``."""
 
     def __init__(self, t0: float):
@@ -1264,6 +1323,9 @@ class _PinnedTstar(_Separable):
         a = novelty + math.exp(-m) - utility
         self.terms = alpha, beta, novelty, utility  # the rates and the column's exponential terms
         return a[None], np.array([max(float(a @ y), 0.0) / float(a @ a)])
+
+    def residuals(self, W: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.array([c @ A - y for A, c in (self.solve(w, t, y) for w in W)])
 
     def dcolumns(self, w: np.ndarray, t: np.ndarray, A: np.ndarray) -> np.ndarray:
         # the derivatives at a fixed scale exp(-m): a change of scale moves

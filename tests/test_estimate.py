@@ -1,6 +1,7 @@
 """Fitting, identification, and uncertainty machinery."""
 
 import dataclasses
+import functools
 import itertools
 import math
 from unittest import mock
@@ -1779,3 +1780,154 @@ class TestMonotoneCone:
         A = cone.design(W, self.T)
         for i, w in enumerate(W):
             assert A[:, i] == pytest.approx(cone.design(w, self.T), rel=1e-15)
+
+
+def lmdif_reference(residual, z0, max_nfev):
+    """The forward-difference polish as ``_lmdif`` ran it on MINPACK's
+    lmdif: ``leastsq`` without ``Dfun``, which differences ``residual``
+    itself, one point per call, on the shifted coordinates z - z0 + 100
+    with ``_lmdif``'s tolerances and a budget of ``max_nfev`` function
+    calls. Returns (x, cost, nfev, status), status 0 where lmdif used up its
+    budget."""
+    shift = np.asarray(z0, dtype=float) - 100.0
+    x, _, info, _, ier = scipy.optimize.leastsq(
+        lambda x: residual(x + shift), z0 - shift, full_output=True,
+        xtol=1e-12, ftol=estimate.SOLVE_FTOL, gtol=1e-12, maxfev=max_nfev,
+    )
+    f = info["fvec"]
+    return x + shift, 0.5 * float(f @ f), int(info["nfev"]), int(ier != 5)
+
+
+def bump_series(s: int) -> TimeSeries:
+    """Seeded series s: a logistic plus a Gaussian bump (or dip) plus noise,
+    on 15, 31 or 61 points."""
+    rng = np.random.default_rng((55, s))
+    t = np.linspace(0.0, 20.0, (15, 31, 61)[s % 3])
+    k, g, t0 = rng.uniform(1.0, 3.0), rng.uniform(0.3, 1.5), rng.uniform(4.0, 12.0)
+    a, mu, sigma = rng.uniform(-0.5, 0.5), rng.uniform(3.0, 17.0), rng.uniform(0.8, 3.0)
+    y = k / (1.0 + np.exp(-g * (t - t0))) + a * np.exp(-0.5 * ((t - mu) / sigma) ** 2)
+    return TimeSeries(t, y + rng.normal(0.0, 0.03, len(t)))
+
+
+#: the families whose scalar polish takes forward differences
+FORWARD_DIFFERENCE = [Family.LOGISTIC, Family.BASS, Family.BI_LOGISTIC, Family.LOGISTIC_BUMP]
+BUILTINS = ["synthetic21", "enterprise78", "enterprise78raw"]
+
+
+def cone_polish(series, max_nfev=5000):
+    """``_fit_coords`` on the monotone cone from the two best minima of its grid
+    (``_monotone_sse_many``'s fallback)."""
+    t, y = series.times, series.values
+    W, val = estimate._grid(estimate._MONOTONE_CONE, t, y[None], np.zeros(2), 0)
+    minima, k = estimate._grid_minima(W, val, 2)
+    return estimate._fit_coords(estimate._MONOTONE_CONE, t, y, list(minima[: k[0], 0]), max_nfev)
+
+
+class TestForwardDifferenceLmder:
+    """The forward-difference polishes on lmder, with fdjac2's Jacobian from
+    one batched residual call, against verbatim lmdif: the same iterates,
+    cost, evaluation count and status, byte for byte."""
+
+    @staticmethod
+    def recorded(monkeypatch, calls):
+        """(residual, z0, max_nfev, result) of each forward-difference
+        ``_lmdif`` call made by running ``calls``."""
+        lmdif, polishes = estimate._lmdif, []
+
+        def recorded(residual, z0, max_nfev, jacobian=None):
+            res = lmdif(residual, z0, max_nfev, jacobian)
+            if jacobian is None:
+                polishes.append((residual, np.array(z0, dtype=float), max_nfev, res))
+            return res
+
+        with monkeypatch.context() as m:
+            m.setattr(estimate, "_lmdif", recorded)
+            for call in calls:
+                call()
+        return polishes
+
+    @staticmethod
+    def assert_lmdif(res, reference):
+        x, cost, nfev, status = reference
+        assert (res.x.tobytes(), float(res.cost).hex(), res.nfev, res.status) == (
+            x.tobytes(), cost.hex(), nfev, status)
+
+    def builtin_polishes(self, monkeypatch):
+        series = [datasets.load_builtin(name).series for name in BUILTINS]
+        calls = [functools.partial(estimate.fit_nls, s, f) for s in series for f in FORWARD_DIFFERENCE]
+        return self.recorded(monkeypatch, calls + [functools.partial(cone_polish, s) for s in series])
+
+    def test_builtins_and_cone_match_lmdif(self, monkeypatch):
+        polishes = self.builtin_polishes(monkeypatch)
+        assert len(polishes) >= 40
+        for residual, z0, max_nfev, res in polishes:
+            self.assert_lmdif(res, lmdif_reference(residual, z0, max_nfev))
+
+    def test_seeded_bump_series_match_lmdif(self, monkeypatch):
+        calls = [functools.partial(estimate.fit_nls, bump_series(s), f)
+                 for s in range(40) for f in FORWARD_DIFFERENCE]
+        polishes = self.recorded(monkeypatch, calls)
+        for residual, z0, max_nfev, res in polishes:
+            self.assert_lmdif(res, lmdif_reference(residual, z0, max_nfev))
+
+    def test_tight_budgets_match_lmdif(self, monkeypatch):
+        # every budget from 1 to 60 evaluations, from each builtin and cone start
+        for residual, z0, _, _ in self.builtin_polishes(monkeypatch):
+            for max_nfev in range(1, 61):
+                self.assert_lmdif(estimate._lmdif(residual, z0, max_nfev),
+                                  lmdif_reference(residual, z0, max_nfev))
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    @pytest.mark.parametrize("family, max_iter", [(Family.BI_LOGISTIC, 21), (Family.LOGISTIC_BUMP, 8),
+                                                  (Family.BI_LOGISTIC, 3), (Family.LOGISTIC_BUMP, 2),
+                                                  (Family.LOGISTIC, 2), (Family.BASS, 5)])
+    def test_tight_budget_fits_match_lmdif(self, monkeypatch, name, family, max_iter):
+        # the fit's starts depend on each polish's end, the exhausted ones included
+        series, lmdif = datasets.load_builtin(name).series, estimate._lmdif
+
+        def fit():
+            try:
+                return report_bytes(estimate.fit_nls(series, family, max_iter=max_iter))
+            except NonConvergence as exc:
+                return str(exc)
+
+        def reference(residual, z0, max_nfev, jacobian=None):
+            if jacobian is not None:
+                return lmdif(residual, z0, max_nfev, jacobian)
+            return estimate._Polish(*lmdif_reference(residual, z0, max_nfev))
+
+        expected = fit()
+        monkeypatch.setattr(estimate, "_lmdif", reference)
+        assert fit() == expected
+
+    @pytest.mark.parametrize("sep", [*(estimate._SEPARABLE[f] for f in FORWARD_DIFFERENCE), estimate._MONOTONE_CONE],
+                             ids=[*(f.value for f in FORWARD_DIFFERENCE), "cone"])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_batched_residual_row_is_solve(self, sep, data):
+        # any batch size, any row position: each row's bytes are those of ``solve``
+        series = datasets.load_builtin(data.draw(st.sampled_from(BUILTINS))).series
+        t, y = series.times, series.values
+        m = data.draw(st.integers(1, 9))
+        W = np.array(data.draw(st.lists(st.lists(st.floats(-12.0, 12.0), min_size=len(sep.box),
+                                                 max_size=len(sep.box)), min_size=m, max_size=m)))
+        R = sep.residuals(W, t, y)
+        assert R.shape == (m, len(t))
+        for w, r in zip(W, R):
+            A, c = sep.solve(w, t, y)
+            assert r.tobytes() == (c @ A - y).tobytes()
+
+
+class TestEquivariance:
+    """A fit does not depend on the units: under t -> 7t and y -> 1000y
+    each family's SSE scales by 1000^2, to 1e-6 relative."""
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(s=st.integers(0, 10**6))
+    def test_sse_scales(self, family, s):
+        series = bump_series(s) if family != Family.TWO_COMP else simgen.gen_series(
+            ThetaTwoComp(3.0, 0.8, 2.0, 0.25), fisher.GaussianIid(0.05), 21, 20.0, seed=(56, s))
+        scaled = TimeSeries(7.0 * series.times, 1000.0 * series.values)
+        sse = estimate.fit_nls(series, family).sse
+        assert estimate.fit_nls(scaled, family).sse / 1000.0**2 == pytest.approx(sse, rel=1e-6)
