@@ -427,7 +427,10 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev:
 
     def residual(w):
         if w.ndim > 1:  # the points of a forward-difference Jacobian
-            return sep.residuals(w, t, y)
+            if sep.dcolumns is None:
+                return sep.residuals(w, t, y)
+            # one by one where the polish has an exact Jacobian: ``_PinnedTstar`` has no batched ``design``
+            return np.array([residual(v) for v in w])
         A, c = sep.solve(w, t, y)
         last[:] = A, c, c @ A - y
         return last[2]
@@ -710,20 +713,23 @@ def _lmdif(residual, z0: np.ndarray, max_nfev: int, jacobian=None) -> _Polish:
     the shift, since its trust radius and xtol scale with ||D x||.
 
     Without ``jacobian`` the Jacobian is MINPACK fdjac2's: column j is
-    (R(x + h_j e_j) - r(x)) / h_j with h_j = sqrt(eps)*|x_j| (eps where that
-    is 0), the d points evaluated as one batch (``residual`` of shape (d, d)
-    returns (d, n)). lmdif and lmder share their iteration, so the polish
-    repeats lmdif's iterates, and its budget counts as lmdif's: 1 per
-    function call and d per Jacobian. It stops, status 0, at the first call
-    after the trial that brings the count to ``max_nfev`` (lmdif's info 5).
-    With ``jacobian``, lmder gets max_nfev // 2 function evaluations, each
-    step one of each, and ``nfev`` counts both kinds.
+    (R(x + h_j e_j) - r(x)) / h_j with h_j = sqrt(eps)*|x_j| (sqrt(eps)
+    where that is 0), the d points evaluated as one batch (``residual`` of
+    shape (d, d) returns (d, n)). lmdif and lmder share their iteration, so
+    the polish repeats lmdif's iterates, and its budget counts as lmdif's:
+    1 + d at MINPACK's first Jacobian, then d per Jacobian and 1 per
+    function call. It stops, status 0, at the first call after the trial
+    that brings the count to ``max_nfev`` (lmdif's info 5). With
+    ``jacobian``, lmder gets max_nfev // 2 function evaluations, each step
+    one of each, and ``nfev`` counts both kinds.
     """
     shift = np.asarray(z0, dtype=float) - 100.0
     key, r, J = None, None, None
-    # calls counted as lmdif counts them: not scipy's shape checks, nor the
-    # one more call at z0 that comes before MINPACK's first
-    nfev, spent, here = -2, False, None
+    # MINPACK's first Jacobian is the second ``jac`` call: leastsq checks
+    # Dfun's shape first. Every function call before it is at z0, every one
+    # after it a trial point. The exact path is counted from lmder's info.
+    uncounted = 1 if jacobian is None else math.inf
+    njev, nfev, spent, here = 0, 0, False, None
 
     def fun(x):
         nonlocal key, r, J, nfev, spent
@@ -731,23 +737,25 @@ def _lmdif(residual, z0: np.ndarray, max_nfev: int, jacobian=None) -> _Polish:
             raise _Spent
         if x.tobytes() != key:
             key, r, J = x.tobytes(), residual(x + shift), None
-        nfev += 1
-        spent = jacobian is None and nfev > 1 and nfev >= max_nfev  # past 1: a trial point
+        if njev > uncounted:
+            nfev += 1
+            spent = nfev >= max_nfev
         return r
 
     def jac(x):
-        nonlocal J, nfev, here
+        nonlocal J, njev, nfev, here
+        njev += 1
+        if njev > uncounted:
+            here = x + shift, r  # lmdif's end once the budget is spent
+            if spent:
+                raise _Spent
+            nfev += len(x) + (njev == 2)
         if J is None:
             if jacobian is not None:
                 J = jacobian(x + shift)
             else:
                 h = [_FD_STEP * abs(v) or _FD_STEP for v in x.tolist()]
                 J = (residual(x + np.diag(h) + shift) - r) / np.array(h)[:, None]
-        if nfev > 0:
-            here = x + shift, r  # lmdif's x once the budget is spent
-            if spent:
-                raise _Spent
-            nfev += len(x)
         return J
 
     try:
@@ -1305,9 +1313,8 @@ class ProfileCI:
 
 class _PinnedTstar(_Separable):
     """The two-component curve pinned to t* = t0, for ``_fit_coords`` alone
-    (``solve``, ``dcolumns``, and ``residuals`` row by row for a polish by
-    forward differences): n0 = (beta*umax/alpha) * exp(t0*(alpha - beta))
-    makes it umax >= 0 times one column at w = (log alpha, log beta),
+    (``solve``, ``dcolumns``): n0 = (beta*umax/alpha) * exp(t0*(alpha -
+    beta)) makes it umax >= 0 times one column at w = (log alpha, log beta),
     clipped as ``params``; ``dcolumns`` reuses the terms of the last ``solve``."""
 
     def __init__(self, t0: float):
@@ -1323,9 +1330,6 @@ class _PinnedTstar(_Separable):
         a = novelty + math.exp(-m) - utility
         self.terms = alpha, beta, novelty, utility  # the rates and the column's exponential terms
         return a[None], np.array([max(float(a @ y), 0.0) / float(a @ a)])
-
-    def residuals(self, W: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.array([c @ A - y for A, c in (self.solve(w, t, y) for w in W)])
 
     def dcolumns(self, w: np.ndarray, t: np.ndarray, A: np.ndarray) -> np.ndarray:
         # the derivatives at a fixed scale exp(-m): a change of scale moves

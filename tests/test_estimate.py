@@ -1877,6 +1877,23 @@ class TestForwardDifferenceLmder:
                 self.assert_lmdif(estimate._lmdif(residual, z0, max_nfev),
                                   lmdif_reference(residual, z0, max_nfev))
 
+    def test_count_ignores_the_calls_at_the_start(self, monkeypatch):
+        # the count starts at MINPACK's first Jacobian, so it does not depend
+        # on how often leastsq evaluates z0 before it
+        polishes = self.builtin_polishes(monkeypatch)[::5]
+        leastsq = scipy.optimize.leastsq
+
+        def leastsq_more_calls(fun, x0, *args, **kwargs):
+            fun(x0)
+            fun(x0)
+            return leastsq(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(estimate, "leastsq", leastsq_more_calls)
+        for residual, z0, _, _ in polishes:
+            for max_nfev in (1, 2, 3, 6, 13, 5000):
+                self.assert_lmdif(estimate._lmdif(residual, z0, max_nfev),
+                                  lmdif_reference(residual, z0, max_nfev))
+
     @pytest.mark.parametrize("name", BUILTINS)
     @pytest.mark.parametrize("family, max_iter", [(Family.BI_LOGISTIC, 21), (Family.LOGISTIC_BUMP, 8),
                                                   (Family.BI_LOGISTIC, 3), (Family.LOGISTIC_BUMP, 2),
