@@ -146,18 +146,19 @@ class _Separable:
     linear in, each kept >= 0 where curves.FAMILY_POSITIVE says so. The
     other parameters p are iterated as w = log p where p is positive, else
     w = p; ``box`` names the start-grid range of each (``_ranges``).
+    ``columns(*p, t)`` gives a column per amplitude: a family's curve with
+    that amplitude 1 and the others 0, to the bit. ``dcolumns(w, t, A)``,
+    where given, is dA/dw from the columns ``A`` at w (the exact Jacobian).
     """
 
-    dcolumns = None  # dA/dw in closed form, where a family has it: ``_fit_coords`` then takes the exact Jacobian
-
-    def __init__(self, family: Family, amplitudes: list[int], box: tuple[str, ...]):
+    def __init__(self, family: Family, amplitudes: list[int], box: tuple[str, ...], columns, dcolumns=None):
         positive = np.array(curves.FAMILY_POSITIVE[family])
         self.family, self.amplitudes, self.box = family, amplitudes, box
+        self.columns, self.dcolumns = columns, dcolumns
         self.nonlinear = [i for i in range(len(positive)) if i not in amplitudes]
         self.nonneg = positive[amplitudes]
         self.logs = positive[self.nonlinear]
         self.in_logs = np.array(self.nonlinear)[self.logs]  # their theta positions
-        self.unit = np.eye(len(amplitudes))
         self.order = np.argsort(amplitudes + self.nonlinear).tolist()
 
     def params(self, w: np.ndarray) -> np.ndarray:
@@ -171,13 +172,10 @@ class _Separable:
         return np.concatenate([c, self.params(w)])[self.order]
 
     def design(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The columns at ``w`` (shape (d,) or (g, d)), shape (m, n) or
-        (m, g, n): the family's curve with one amplitude 1, the others 0."""
-        unit = self.unit.reshape(self.unit.shape + (1,) * w.ndim)
+        """The columns at ``w`` (shape (d,) or (g, d)), shape (m, n) or (m, g, n)."""
         p = self.params(w)
         # a polish step passes floats: numpy is slower on 1-element arrays
-        parts = [*unit, *(p.T[..., None] if w.ndim > 1 else p.tolist())]
-        return curves._eval_values(self.family, [parts[i] for i in self.order], t)
+        return np.array(self.columns(*(p.T[..., None] if w.ndim > 1 else p.tolist()), t))
 
     def solve(self, w: np.ndarray, t: np.ndarray, y: np.ndarray):
         """The columns and the amplitudes at ``w``: closed-form for one or
@@ -196,23 +194,6 @@ class _Separable:
         rows = zip((A @ A.swapaxes(1, 2)).tolist(), (A @ y).tolist())
         c = np.array([_amplitudes(G, b, self.nonneg)[0] for G, b in rows])
         return (c[:, None] @ A)[:, 0] - y
-
-
-class _TwoComp(_Separable):
-    """The two-component curve: its column j, exp(-alpha*t) or
-    -expm1(-beta*t), depends on coordinate j alone, so its derivatives in w
-    are closed-form multiples of the columns."""
-
-    #: A - _ONE is (exp(-alpha*t), -exp(-beta*t)); _PLACE puts the
-    #: derivative in w_j in row j of dA[j], the other row 0
-    _PLACE, _ONE = np.eye(2)[..., None], np.array([[0.0], [1.0]])
-
-    def dcolumns(self, w: np.ndarray, t: np.ndarray, A: np.ndarray) -> np.ndarray:
-        """dA/dw (shape (2, 2, n), dA[j] = dA/dw_j) from the columns ``A``
-        at ``w``: -alpha*t*exp(-alpha*t) and beta*t*exp(-beta*t), 0 past
-        the clip, where a rate is constant."""
-        rates = [[-math.exp(v) if abs(v) <= _LOG_CLIP else 0.0] for v in w.tolist()]
-        return self._PLACE * ((A - self._ONE) * (t * np.array(rates)))
 
 
 def _vp_jacobian(A: np.ndarray, c: np.ndarray, r: np.ndarray, dA: np.ndarray) -> np.ndarray:
@@ -240,20 +221,24 @@ def _vp_jacobian(A: np.ndarray, c: np.ndarray, r: np.ndarray, dA: np.ndarray) ->
     return D - np.array(Z) @ A
 
 
-_SEPARABLE = {
-    sep.family: sep
-    for sep in (
-        _TwoComp(Family.TWO_COMP, [0, 2], ("rate", "rate")),
-        _Separable(Family.LOGISTIC, [0], ("offset", "rate")),
-        _Separable(Family.BASS, [0], ("rate", "rate")),
-        _Separable(Family.BI_LOGISTIC, [0, 3], ("offset", "rate", "offset", "rate")),
-        _Separable(Family.DOUBLE_EXP, [0, 1, 3], ("rate", "rate")),
-        _Separable(Family.LOGISTIC_BUMP, [0, 3], ("offset", "rate", "center", "width")),
-    )
-}
+#: A - _ONE is the two-component (exp(-alpha*t), -exp(-beta*t)), column j a function
+#: of w_j alone; _PLACE puts its derivative in w_j in row j of dA[j], the other row 0
+_PLACE, _ONE = np.eye(2)[..., None], np.array([[0.0], [1.0]])
 
 
-class _MonotoneCone(_Separable):
+def _two_comp_dcolumns(w: np.ndarray, t: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """dA/dw (shape (2, 2, n), dA[j] = dA/dw_j) from the two-component
+    columns ``A`` at ``w``: -alpha*t*exp(-alpha*t) and beta*t*exp(-beta*t),
+    0 past the clip, where a rate is constant."""
+    rates = [[-math.exp(v) if abs(v) <= _LOG_CLIP else 0.0] for v in w.tolist()]
+    return _PLACE * ((A - _ONE) * (t * np.array(rates)))
+
+
+def _logistic(c, g, t):
+    return 1.0 / (1.0 + c * np.exp(-g * t))
+
+
+def _monotone_cone(beta, gap, t):
     """The nondecreasing two-component curves (alpha >= beta): amplitudes
     >= 0 times u = (1 - exp(-beta*t))/beta and exp(-alpha*t) + alpha*u (the
     rays n0 = 0 and alpha*n0 = beta*umax, over beta) at w = (log beta,
@@ -261,14 +246,28 @@ class _MonotoneCone(_Separable):
     ``expm1``, so the limits keep finite, exact columns at the clip w = -_LOG_CLIP:
     t and exp(-alpha*t) + alpha*t as beta -> 0 (a deep trough's infimum),
     u and 1 as alpha -> beta."""
-
-    def design(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
-        beta, gap = self.params(w).T[..., None] if w.ndim > 1 else self.params(w).tolist()
-        u = np.expm1(-beta * t) / -beta
-        return np.array([u, np.exp(-(beta + gap) * t) + (beta + gap) * u])
+    u = np.expm1(-beta * t) / -beta
+    return [u, np.exp(-(beta + gap) * t) + (beta + gap) * u]
 
 
-_MONOTONE_CONE = _MonotoneCone(Family.TWO_COMP, [0, 2], ("rate", "rate"))
+#: each family's columns; a negated one is 0.0 - e, not -e: where e is 0 (an exp
+#: underflows), -e is -0.0, while the curve with that amplitude 1 is +0.0
+_SEPARABLE = {
+    Family.TWO_COMP: _Separable(Family.TWO_COMP, [0, 2], ("rate", "rate"), lambda alpha, beta, t: [
+        np.exp(-alpha * t), 0.0 - np.expm1(-beta * t)], _two_comp_dcolumns),
+    Family.LOGISTIC: _Separable(Family.LOGISTIC, [0], ("offset", "rate"), lambda c, g, t: [_logistic(c, g, t)]),
+    Family.BASS: _Separable(Family.BASS, [0], ("rate", "rate"), lambda p, q, t: [
+        (1.0 - (e := np.exp(-(p + q) * t))) / (1.0 + (q / p) * e)]),
+    Family.BI_LOGISTIC: _Separable(Family.BI_LOGISTIC, [0, 3], ("offset", "rate", "offset", "rate"),
+                                   lambda c1, g1, c2, g2, t: [_logistic(c1, g1, t), _logistic(c2, g2, t)]),
+    Family.DOUBLE_EXP: _Separable(Family.DOUBLE_EXP, [0, 1, 3], ("rate", "rate"), lambda r1, r2, t: [
+        np.ones_like(e := np.exp(-r1 * t)), 0.0 - e, 0.0 - np.exp(-r2 * t)]),
+    Family.LOGISTIC_BUMP: _Separable(Family.LOGISTIC_BUMP, [0, 3], ("offset", "rate", "center", "width"),
+                                     lambda c, g, mu, sigma, t: [_logistic(c, g, t),
+                                                                 np.exp(-0.5 * ((t - mu) / sigma) ** 2)]),
+}
+
+_MONOTONE_CONE = _Separable(Family.TWO_COMP, [0, 2], ("rate", "rate"), _monotone_cone)
 
 #: theta positions (amplitude first, rate last) of interchangeable components
 _COMPONENTS = {Family.BI_LOGISTIC: ([0, 1, 2], [3, 4, 5]), Family.DOUBLE_EXP: ([1, 2], [3, 4])}
@@ -404,14 +403,14 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev:
     (the components' roles swapped). The best polish wins: MINPACK's
     Levenberg-Marquardt, lmder (``_lmdif``), or for the double exponential
     a trust-region solve bounded by its box, which keeps its collapse to one
-    exponential cheap. A separable with closed-form ``dcolumns``
-    (``_TwoComp``, ``_PinnedTstar``) takes the exact Jacobian
-    (``_vp_jacobian``, from the columns of the last evaluation); the others
-    (and the monotone cone) take lmdif's forward differences, their points
-    evaluated as one batch (``_Separable.residuals``), and repeat lmdif's
-    iterates. ``max_nfev`` caps a polish's function plus Jacobian
-    evaluations. A run that uses up its budget, or whose residuals are not
-    finite, is dropped.
+    exponential cheap. A separable with closed-form ``dcolumns`` (the
+    two-component ``_SEPARABLE`` entry, ``_PinnedTstar``) takes the exact
+    Jacobian (``_vp_jacobian``, from the columns of the last evaluation);
+    the others (and the monotone cone) take lmdif's forward differences,
+    their points evaluated as one batch (``_Separable.residuals``), and
+    repeat lmdif's iterates. ``max_nfev`` caps a polish's function plus
+    Jacobian evaluations. A run that uses up its budget, or whose residuals
+    are not finite, is dropped.
 
     The lmder polishes run ``_polish_many``'s merit filter (it acts on the
     cold two-component pairs): once a polish has ended certified (status !=
@@ -856,7 +855,7 @@ def _polish_many(sep: _Separable, t: np.ndarray, Y: np.ndarray, w0: np.ndarray, 
     differences at lmdif's step, evaluated with each trial point (the scalar
     polishes of ``_lmdif`` take it at each accepted point, or the exact one,
     ``_vp_jacobian``, for a separable with closed-form ``dcolumns``;
-    ``_TwoComp.dcolumns`` would serve a batch too). Every
+    ``_two_comp_dcolumns`` would serve a batch too). Every
     operation is elementwise or a sum along a row (``np.einsum``, no BLAS):
     a row's numbers do not depend on its batch, and nothing raises. The
     active rows' state is one array, a row per field, so an iteration makes

@@ -135,7 +135,7 @@ def constrained_lr(
 
     The monotone (nondecreasing) curves form a cone: with alpha >= beta, the
     nonnegative combinations of two columns over w = (log beta,
-    log(alpha - beta)) (``estimate._MonotoneCone``). So the constrained SSE
+    log(alpha - beta)) (``estimate._MONOTONE_CONE``). So the constrained SSE
     is a variable-projection fit, the one-row case of the Monte-Carlo loop's
     batch (``_constrained_sse_many``). A free fit that is already monotone
     (``curves.monotone_condition``) gives Lambda = 0 with no solve.

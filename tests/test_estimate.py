@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adoptkit as ak
@@ -308,7 +308,7 @@ class TestDeltaCiTstar:
             y = mean + sig * rng.standard_normal(len(series))
             try:
                 refit = ak.fit_nls(TimeSeries(series.times, y), init=fit.theta)
-            except Exception:
+            except RECOVERABLE:
                 continue
             ts = ak.critical_time(refit.theta_two_comp())
             if ts is not None:
@@ -1758,6 +1758,54 @@ class TestLogClip:
         (w0,) = starts
         np.testing.assert_allclose(w0, [-40.0, math.log(fit.theta[3])], rtol=0.0, atol=1e-12)
         assert sep.theta(w0, fit.theta[sep.amplitudes]) == pytest.approx(fit.theta, rel=1e-12, abs=0.0)
+
+
+def unit_amplitude_curves(sep, p, t):
+    """The reference for ``sep.design``'s columns at the parameters ``p``
+    (floats, or one (g, 1) array per coordinate): the family's curve
+    (``curves._eval_values``) with one amplitude 1 and the others 0, one
+    curve per amplitude."""
+    for i in sep.amplitudes:
+        values = [float(j == i) for j in range(curves.family_arity(sep.family))]
+        for j, v in zip(sep.nonlinear, p):
+            values[j] = v
+        yield curves._eval_values(sep.family, values, t)
+
+
+class TestDesignColumns:
+    """Each family's ``design``, its columns in closed form, is bit-equal
+    to its curve with one amplitude 1 and the others 0, at one point and
+    over a grid, coordinates over the whole clip (so exp underflows: a
+    column -e would read -0.0 where the curve reads +0.0). The monotone
+    cone's columns are not a family's curve bit for bit: a grid row is
+    bit-equal to its point's columns, which equal the cone's two-component
+    curves to rounding."""
+
+    COORDS = st.lists(st.floats(-40.0, 40.0), min_size=4, max_size=4)
+
+    @pytest.mark.parametrize("name", [*(f.value for f in Family), "cone"])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(w=COORDS, grid=st.lists(COORDS, min_size=1, max_size=5),
+           t=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=10))
+    @example(w=[40.0] * 4, grid=[[40.0] * 4, [-40.0] * 4], t=[0.0, 1.0])
+    def test_columns_are_the_unit_amplitude_curves(self, name, w, grid, t):
+        sep = estimate._MONOTONE_CONE if name == "cone" else estimate._SEPARABLE[Family(name)]
+        d, m, t = len(sep.box), len(sep.amplitudes), np.array(t)
+        w, W = np.array(w[:d]), np.array(grid)[:, :d]
+        A, AW = sep.design(w, t), sep.design(W, t)
+        assert A.shape == (m, len(t)) and AW.shape == (m, len(W), len(t))
+        if name == "cone":
+            for r, v in enumerate(W):
+                assert AW[:, r].tobytes() == sep.design(v, t).tobytes()
+            beta, gap = sep.params(w).tolist()
+            alpha = beta + gap
+            for a, theta in zip(A, [[0.0, alpha, 1.0 / beta, beta], [1.0, alpha, alpha / beta, beta]]):
+                np.testing.assert_allclose(a, curves._eval_values(Family.TWO_COMP, theta, t), rtol=1e-12, atol=0.0)
+            return
+        for a, ref in zip(A, unit_amplitude_curves(sep, sep.params(w).tolist(), t)):
+            assert a.tobytes() == ref.tobytes()
+        for a, ref in zip(AW, unit_amplitude_curves(sep, sep.params(W).T[..., None], t)):
+            assert a.tobytes() == ref.tobytes()
 
 
 class TestMonotoneCone:
