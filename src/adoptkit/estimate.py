@@ -149,12 +149,15 @@ class _Separable:
     ``columns(*p, t)`` gives a column per amplitude: a family's curve with
     that amplitude 1 and the others 0, to the bit. ``dcolumns(w, t, A)``,
     where given, is dA/dw from the columns ``A`` at w (the exact Jacobian).
+    ``box_grid`` keeps the start grid over the whole box for the last times
+    it was asked for.
     """
 
     def __init__(self, family: Family, amplitudes: list[int], box: tuple[str, ...], columns, dcolumns=None):
         positive = np.array(curves.FAMILY_POSITIVE[family])
         self.family, self.amplitudes, self.box = family, amplitudes, box
         self.columns, self.dcolumns = columns, dcolumns
+        self.grid_memo = None  # (key of the times, W, A, G) of ``box_grid``
         self.nonlinear = [i for i in range(len(positive)) if i not in amplitudes]
         self.nonneg = positive[amplitudes]
         self.logs = positive[self.nonlinear]
@@ -165,11 +168,14 @@ class _Separable:
         return np.where(self.logs, np.exp(w.clip(-_LOG_CLIP, _LOG_CLIP)), w)
 
     def coords(self, theta: np.ndarray) -> np.ndarray:
-        p = theta[self.nonlinear]
+        """The coordinates w of ``theta`` (shape (k,), or (B, k): a row each)."""
+        p = theta[..., self.nonlinear]
         return np.where(self.logs, np.log(np.maximum(p, np.exp(-_LOG_CLIP))), p)
 
     def theta(self, w: np.ndarray, c) -> np.ndarray:
-        return np.concatenate([c, self.params(w)])[self.order]
+        """theta from the coordinates ``w`` and the amplitudes ``c`` (shapes
+        (d,) and (k,), or (B, d) and (B, k): a row each)."""
+        return np.concatenate([c, self.params(w)], axis=-1)[..., self.order]
 
     def design(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The columns at ``w`` (shape (d,) or (g, d)), shape (m, n) or (m, g, n)."""
@@ -185,15 +191,35 @@ class _Separable:
             return A, nnls(A.T, y)[0]
         return A, np.array(_amplitudes((A @ A.T).tolist(), (A @ y).tolist(), self.nonneg)[0])
 
+    def solve_many(self, W: np.ndarray, t: np.ndarray, Y: np.ndarray):
+        """``solve`` at each row of ``W`` (shape (m, d)) for the series ``Y``
+        (shape (n,), or (m, n): a row each), for one or two columns: the
+        columns, shape (m, k, n), and the amplitudes, shape (m, k). One
+        ``design`` call, and each row's products by the BLAS call ``solve``
+        makes on it, so row r is bit-equal to ``solve``'s at W[r]."""
+        A = np.ascontiguousarray(self.design(W, t).swapaxes(0, 1))
+        rows = zip((A @ A.swapaxes(1, 2)).tolist(), (A @ Y[..., None])[..., 0].tolist())
+        return A, np.array([_amplitudes(G, b, self.nonneg)[0] for G, b in rows])
+
     def residuals(self, W: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The projected residuals c A - y at the rows of ``W`` (shape (m, d)),
-        shape (m, n), for one or two columns: one ``design`` call, and each
-        row's products by the BLAS call ``solve`` makes on it, so row r is
-        bit-equal to ``solve``'s residual at W[r]."""
-        A = np.ascontiguousarray(self.design(W, t).swapaxes(0, 1))  # (m, k, n)
-        rows = zip((A @ A.swapaxes(1, 2)).tolist(), (A @ y).tolist())
-        c = np.array([_amplitudes(G, b, self.nonneg)[0] for G, b in rows])
+        shape (m, n), each bit-equal to ``solve``'s (``solve_many``)."""
+        A, c = self.solve_many(W, t, y)
         return (c[:, None] @ A)[:, 0] - y
+
+    def box_grid(self, t: np.ndarray):
+        """``_grid_design`` over the whole box of a two-coordinate family,
+        which depends on the times alone: it is kept, read-only, for the last
+        times asked for (keyed by their dtype, length and bytes). The memo is
+        replaced whole, so threads that race on it only form it twice."""
+        key = t.dtype.str, len(t), t.tobytes()
+        memo = self.grid_memo
+        if memo is None or memo[0] != key:
+            memo = key, *_grid_design(self, t, np.zeros(2), 0)
+            for a in memo[1:]:
+                a.flags.writeable = False
+            self.grid_memo = memo
+        return memo[1:]
 
 
 def _vp_jacobian(A: np.ndarray, c: np.ndarray, r: np.ndarray, dA: np.ndarray) -> np.ndarray:
@@ -329,17 +355,29 @@ def _amplitudes(G, b, nonneg, where=lambda cond, x, y: x if cond else y):
     return c, where(full, v, best)
 
 
-def _grid(sep: _Separable, t: np.ndarray, y: np.ndarray, w: np.ndarray, pair: int):
-    """Coordinates and SSE - y'y on a GRID_POINTS^2 grid over the box of
-    coordinates ``pair`` and ``pair + 1``, the others fixed at ``w``; for
-    rows ``y`` of shape (B, n), one column of SSE - y'y per row, each equal
-    to that of the row alone (the design and Gram entries are shared)."""
+def _grid_design(sep: _Separable, t: np.ndarray, w: np.ndarray, pair: int):
+    """The points W of a GRID_POINTS^2 grid over the box of coordinates
+    ``pair`` and ``pair + 1``, the others fixed at ``w``, shape (g, d); the
+    design A there, shape (k, g, n); and its Gram entries G, shape (k, k, g)."""
     ranges = _ranges(t)
     axes = [np.linspace(*ranges[name], GRID_POINTS) for name in sep.box[pair : pair + 2]]
     W = np.tile(w, (GRID_POINTS**2, 1))
     W[:, pair : pair + 2] = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
     A = sep.design(W, t)
-    G, nonneg, offset = np.einsum("ign,jgn->ijg", A, A), sep.nonneg, 0.0
+    return W, A, np.einsum("ign,jgn->ijg", A, A)
+
+
+def _grid(sep: _Separable, t: np.ndarray, y: np.ndarray, w: np.ndarray, pair: int):
+    """Coordinates and SSE - y'y on ``_grid_design``'s grid; for rows ``y``
+    of shape (B, n), one column of SSE - y'y per row, each equal to that of
+    the row alone (the design and Gram entries are shared). A
+    two-coordinate family's grid covers its whole box and depends on the
+    times alone, so it comes from ``sep.box_grid`` (``w`` and ``pair`` are
+    then unused), and a call on the last times gridded only forms A y and
+    the amplitudes. A four-coordinate family's pair grid is formed anew: its
+    fixed pair changes with every fit."""
+    W, A, G = sep.box_grid(t) if len(sep.box) == 2 else _grid_design(sep, t, w, pair)
+    nonneg, offset = sep.nonneg, 0.0
     if y.ndim == 1:
         b = A @ y
     else:
@@ -426,10 +464,7 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev:
 
     def residual(w):
         if w.ndim > 1:  # the points of a forward-difference Jacobian
-            if sep.dcolumns is None:
-                return sep.residuals(w, t, y)
-            # one by one where the polish has an exact Jacobian: ``_PinnedTstar`` has no batched ``design``
-            return np.array([residual(v) for v in w])
+            return sep.residuals(w, t, y)
         A, c = sep.solve(w, t, y)
         last[:] = A, c, c @ A - y
         return last[2]
@@ -966,9 +1001,10 @@ def _fit_cold_many(t: np.ndarray, Y: np.ndarray) -> tuple[list, dict[int, str]]:
     each the other's mate (a beaten start retires early, as the loser).
     A row with both certified keeps the lower SSE (the alpha > beta side on
     a tie, as ``_fit_coords`` does) and gets ``fit_nls``'s report, all
-    such rows as one batch (``_fit_reports``); the others are fit by
-    ``fit_nls``. Returns (reports, {row: exception class name} of the rows
-    that raised); a row that raised has report None.
+    such rows as one batch (``_fit_reports``, its amplitudes from
+    ``_Separable.solve_many``); the others are fit by ``fit_nls``. Returns
+    (reports, {row: exception class name} of the rows that raised); a row
+    that raised has report None.
     """
     sep = _SEPARABLE[Family.TWO_COMP]
     B, n = Y.shape
@@ -982,7 +1018,7 @@ def _fit_cold_many(t: np.ndarray, Y: np.ndarray) -> tuple[list, dict[int, str]]:
         side[~(certified[:B] & certified[B:])] = -1
     reports, errors, rows = [None] * B, {}, np.flatnonzero(side >= 0)
     if len(rows):
-        Theta = np.array([sep.theta(W[side[i]], sep.solve(W[side[i]], t, Y[i])[1]) for i in rows])
+        Theta = sep.theta(W[side[rows]], sep.solve_many(W[side[rows]], t, Y[rows])[1])
         batch, raised = _fit_reports(Family.TWO_COMP, t, Y[rows], Theta, nfev[side[rows]])
         errors = {int(rows[j]): type(exc).__name__ for j, exc in raised.items()}
         for i, report in zip(rows, batch):
@@ -1185,18 +1221,24 @@ def _window_series(series: TimeSeries, mask: np.ndarray) -> TimeSeries:
     return TimeSeries(t - t[0], series.values[mask], unit=series.unit)
 
 
-def _refit_betas(t: np.ndarray, Y: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+def _refit_betas(t: np.ndarray, Y: np.ndarray, theta: np.ndarray, lead=None) -> tuple[np.ndarray, dict[int, str]]:
     """beta of the two-component fit to each row of ``Y`` on the times
-    ``t``, warm-started at ``theta``: the rows that ``_polish_many``
-    certifies from it, the others refit by ``fit_nls(init=theta)``. Returns
-    (beta, {row: exception class name} of the refits that failed)."""
+    ``t``, warm-started at ``theta`` (shape (k,), or (B, k): a start per
+    row): the rows that ``_polish_many`` certifies from it, the others refit
+    in row order by ``fit_nls(init=...)``. With ``lead`` (shape (B,): an
+    earlier row's index, or -1), a row whose lead row has failed is neither
+    refit nor counted.
+    Returns (beta, {row: exception class name} of the refits that failed)."""
     sep = _SEPARABLE[Family.TWO_COMP]
     W, _, _, certified = _polish_many(sep, t, Y, sep.coords(theta))
     beta = sep.params(W)[:, 1]
+    theta = np.broadcast_to(theta, (len(Y), theta.shape[-1]))
     errors = {}
     for i in np.flatnonzero(~certified):
+        if lead is not None and lead[i] in errors:
+            continue
         try:
-            beta[i] = fit_nls(TimeSeries(t, Y[i]), Family.TWO_COMP, init=theta).theta[3]
+            beta[i] = fit_nls(TimeSeries(t, Y[i]), Family.TWO_COMP, init=theta[i]).theta[3]
         except RECOVERABLE as exc:
             errors[int(i)] = type(exc).__name__
     return beta, errors
@@ -1216,11 +1258,13 @@ def prepost_delta_beta(
     windows (times re-origined per window), then estimates
     Var(delta_beta) = Var(beta_post) + Var(beta_pre) - 2 Cov by jointly
     resampling blocks of the concatenated residual sequence and refitting both
-    windows per replicate. Each window's replicates are refit as one batch,
-    warm-started at the window's fit (``_polish_many``); a replicate the
-    batch does not certify is refit singly by ``fit_nls(init=...)``. A
-    replicate fails when a refit of either window raises; ``failures``
-    counts them by exception class. ``pre_cov_unreliable`` and
+    windows per replicate. The replicates are refit as one batch,
+    warm-started at their window's fit (``_polish_many``): both windows'
+    together when their re-origined times are equal, else a batch per
+    window. A replicate the batch does not certify is refit singly by
+    ``fit_nls(init=...)``. A replicate fails when a refit of either window
+    raises (its post window is not refit once its pre window has failed);
+    ``failures`` counts them by exception class. ``pre_cov_unreliable`` and
     ``post_cov_unreliable`` flag a window whose own fit did not converge or
     has an unreliable covariance. Deterministic given (inputs, seed), and
     independent of the batch size. Raises ValidationError before any fit
@@ -1260,17 +1304,25 @@ def prepost_delta_beta(
     estar = resid[(starts[:, :, None] + np.arange(block_len)).reshape(n_boot, -1)[:, :m]]
     # a replicate fails with its first window that fails; the post window
     # is refit only for the replicates whose pre window was
-    beta_boot_pre, errors = _refit_betas(pre.times, fitted_pre + estar[:, : len(pre)], fit_pre.theta)
-    rows = np.array([i for i in range(n_boot) if i not in errors], dtype=int)
-    beta_boot_post, post_errors = _refit_betas(
-        post.times, fitted_post + estar[rows, len(pre) :], fit_post.theta
-    )
-    kept = [j for j in range(len(rows)) if j not in post_errors]
-    failures = _failure_counts([*errors.values(), *post_errors.values()])
+    Y_pre, Y_post = fitted_pre + estar[:, : len(pre)], fitted_post + estar[:, len(pre) :]
+    if np.array_equal(pre.times, post.times):
+        # one batch: the pre rows, then the post rows, each led by its pre row
+        beta, errors = _refit_betas(pre.times, np.concatenate([Y_pre, Y_post]),
+                                    np.repeat([fit_pre.theta, fit_post.theta], n_boot, axis=0),
+                                    np.concatenate([np.full(n_boot, -1), np.arange(n_boot)]))
+    else:
+        beta, errors = _refit_betas(pre.times, Y_pre, fit_pre.theta)
+        rows = np.array([i for i in range(n_boot) if i not in errors], dtype=int)
+        boot_post, post_errors = _refit_betas(post.times, Y_post[rows], fit_post.theta)
+        beta = np.concatenate([beta, np.full(n_boot, np.nan)])
+        beta[n_boot + rows] = boot_post
+        errors.update({n_boot + int(rows[j]): name for j, name in post_errors.items()})
+    kept = [i for i in range(n_boot) if i not in errors and n_boot + i not in errors]
+    failures = _failure_counts(errors.values())
     failed = sum(failures.values())
     if n_boot - failed < 10:
         raise NonConvergence(f"block bootstrap failed in {failed}/{n_boot} replicates")
-    arr = np.column_stack([beta_boot_pre[rows[kept]], beta_boot_post[kept]])
+    arr = np.column_stack([beta[kept], beta[n_boot:][kept]])
     var_pre = float(np.var(arr[:, 0], ddof=1))
     var_post = float(np.var(arr[:, 1], ddof=1))
     cov = float(np.cov(arr[:, 0], arr[:, 1], ddof=1)[0, 1])

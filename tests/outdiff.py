@@ -14,8 +14,17 @@ determinism step under ``benchmark``.
 Per command it prints whether the bytes (stdout, stderr and exit status)
 are equal; if not, the numeric fields that moved and the largest relative
 move among them. Output is JSON, except ``simulate``'s CSV, whose cells are
-compared as the fields. The exit status is 0 when every command is
-byte-equal, 1 when one is not, and 2 when REV cannot be unpacked.
+compared as the fields.
+
+It then compares the output digests of the first two passes of the
+``refits`` and ``mc_scenarios`` benchmark workloads on four seeds, each
+workload and seed in a fresh process that imports its tree's
+``perfbench/workloads.py`` (and writes no bytecode there). No CLI command
+reaches the pre/post bootstrap or the profile CI, and a second pass repeats
+the first one's times on new data.
+
+The exit status is 0 when every command and digest is equal, 1 when one is
+not, and 2 when REV cannot be unpacked.
 """
 
 from __future__ import annotations
@@ -34,6 +43,17 @@ FAMILIES = ["twocomp", "logistic", "bass", "bilogistic", "doubleexp", "logisticb
 THETA = ["--n0", "3", "--alpha", "0.8", "--umax", "2", "--beta", "0.25"]
 #: the scenario grid of the CI determinism step
 GRID = "depths = 0, 0.2\nsigmas = 0.05\nrhos = 0, 0.3\nn_points = 21\nreplicates = 20\nseed = 7\nshape_boot = 50\n"
+#: the workloads and seeds (the default and the hold-out) whose first PASSES pass digests are compared
+WORKLOADS, SEEDS, PASSES = ["refits", "mc_scenarios"], [1, 2, 3, 20261017], 2
+#: prints a workload's pass digests, run in its tree as ``python -c DIGESTS workload seed passes``
+DIGESTS = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import workloads
+wl = workloads.WORKLOADS[sys.argv[1]](json.load(open("perfbench/spec.json")), int(sys.argv[2]))
+for p in range(int(sys.argv[3])):
+    print(workloads.digest([(r.label, r.output) for r in wl.run_pass(wl.inputs(p))]))
+"""
 
 
 def commands(grid: str) -> list[list[str]]:
@@ -53,9 +73,8 @@ def commands(grid: str) -> list[list[str]]:
 
 
 def run(tree: Path, argv: list[str]) -> tuple[int, str, str]:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run([sys.executable, "-m", "adoptkit.cli", *argv], capture_output=True, text=True,
-                          cwd=tree, env=env)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, cwd=tree, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -124,7 +143,8 @@ def main(argv=None) -> int:
         cmds = commands(str(grid))
         equal = 0
         for argv_ in cmds:
-            (code_a, out_a, err_a), (code_b, out_b, err_b) = run(base, argv_), run(ROOT, argv_)
+            cli = ["-m", "adoptkit.cli", *argv_]
+            (code_a, out_a, err_a), (code_b, out_b, err_b) = run(base, cli), run(ROOT, cli)
             label = " ".join(a if a != str(grid) else "grid.cfg" for a in argv_)
             if (code_a, out_a, err_a) == (code_b, out_b, err_b):
                 equal += 1
@@ -145,7 +165,20 @@ def main(argv=None) -> int:
             if len(moved) > 20:
                 print(f"    ... and {len(moved) - 20} more")
         print(f"{equal} of {len(cmds)} commands byte-equal between {rev} and the working tree")
-    return 0 if equal == len(cmds) else 1
+        runs = [(name, seed) for name in WORKLOADS for seed in SEEDS]
+        same = 0
+        for name, seed in runs:
+            argv_ = ["-c", DIGESTS, name, str(seed), str(PASSES)]
+            a, b = run(base, argv_), run(ROOT, argv_)
+            label = f"{name} --seed {seed}, passes 0-{PASSES - 1}"
+            if a == b and a[0] == 0:
+                same += 1
+                print(f"equal    {label}")
+            else:
+                print(f"DIFFERS  {label}: digests {[d[:12] for d in a[1].split()]} -> {[d[:12] for d in b[1].split()]}"
+                      + ("" if a[0] == b[0] == 0 else f"; exit {a[0]} -> {b[0]}: {b[2].strip()[-300:]}"))
+        print(f"{same} of {len(runs)} workload digests equal between {rev} and the working tree")
+    return 0 if equal == len(cmds) and same == len(runs) else 1
 
 
 if __name__ == "__main__":
