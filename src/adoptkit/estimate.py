@@ -149,15 +149,12 @@ class _Separable:
     ``columns(*p, t)`` gives a column per amplitude: a family's curve with
     that amplitude 1 and the others 0, to the bit. ``dcolumns(w, t, A)``,
     where given, is dA/dw from the columns ``A`` at w (the exact Jacobian).
-    ``box_grid`` keeps the start grid over the whole box for the last times
-    it was asked for.
     """
 
     def __init__(self, family: Family, amplitudes: list[int], box: tuple[str, ...], columns, dcolumns=None):
         positive = np.array(curves.FAMILY_POSITIVE[family])
         self.family, self.amplitudes, self.box = family, amplitudes, box
         self.columns, self.dcolumns = columns, dcolumns
-        self.grid_memo = None  # (key of the times, W, A, G) of ``box_grid``
         self.nonlinear = [i for i in range(len(positive)) if i not in amplitudes]
         self.nonneg = positive[amplitudes]
         self.logs = positive[self.nonlinear]
@@ -206,20 +203,6 @@ class _Separable:
         shape (m, n), each bit-equal to ``solve``'s (``solve_many``)."""
         A, c = self.solve_many(W, t, y)
         return (c[:, None] @ A)[:, 0] - y
-
-    def box_grid(self, t: np.ndarray):
-        """``_grid_design`` over the whole box of a two-coordinate family,
-        which depends on the times alone: it is kept, read-only, for the last
-        times asked for (keyed by their dtype, length and bytes). The memo is
-        replaced whole, so threads that race on it only form it twice."""
-        key = t.dtype.str, len(t), t.tobytes()
-        memo = self.grid_memo
-        if memo is None or memo[0] != key:
-            memo = key, *_grid_design(self, t, np.zeros(2), 0)
-            for a in memo[1:]:
-                a.flags.writeable = False
-            self.grid_memo = memo
-        return memo[1:]
 
 
 def _vp_jacobian(A: np.ndarray, c: np.ndarray, r: np.ndarray, dA: np.ndarray) -> np.ndarray:
@@ -367,16 +350,41 @@ def _grid_design(sep: _Separable, t: np.ndarray, w: np.ndarray, pair: int):
     return W, A, np.einsum("ign,jgn->ijg", A, A)
 
 
+#: the last full-box start grid formed: (separable, key of its times, W, A, G)
+_box_grid_memo = None
+
+
+def _box_grid(sep: _Separable, t: np.ndarray):
+    """``_grid_design`` over the whole box of a two-coordinate family, which
+    depends on the times alone. The last one formed is kept, read-only,
+    with its separable and the key of its times (dtype, length and bytes).
+    That is one design in all, k x GRID_POINTS^2 x n floats, freed before
+    the next is formed, so the peak memory is that of forming each anew.
+    The memo is replaced whole, so threads that race on it only form it
+    twice."""
+    global _box_grid_memo
+    key = t.dtype.str, len(t), t.tobytes()
+    memo = _box_grid_memo
+    if memo is not None and memo[0] is sep and memo[1] == key:
+        return memo[2:]
+    _box_grid_memo = memo = None  # free the old design first
+    memo = sep, key, *_grid_design(sep, t, np.zeros(2), 0)
+    for a in memo[2:]:
+        a.flags.writeable = False
+    _box_grid_memo = memo
+    return memo[2:]
+
+
 def _grid(sep: _Separable, t: np.ndarray, y: np.ndarray, w: np.ndarray, pair: int):
     """Coordinates and SSE - y'y on ``_grid_design``'s grid; for rows ``y``
     of shape (B, n), one column of SSE - y'y per row, each equal to that of
     the row alone (the design and Gram entries are shared). A
     two-coordinate family's grid covers its whole box and depends on the
-    times alone, so it comes from ``sep.box_grid`` (``w`` and ``pair`` are
-    then unused), and a call on the last times gridded only forms A y and
-    the amplitudes. A four-coordinate family's pair grid is formed anew: its
-    fixed pair changes with every fit."""
-    W, A, G = sep.box_grid(t) if len(sep.box) == 2 else _grid_design(sep, t, w, pair)
+    times alone, so it comes from ``_box_grid`` (``w`` and ``pair`` are
+    then unused), and a call on the family and times gridded last only
+    forms A y and the amplitudes. A four-coordinate family's pair grid is
+    formed anew: its fixed pair changes with every fit."""
+    W, A, G = _box_grid(sep, t) if len(sep.box) == 2 else _grid_design(sep, t, w, pair)
     nonneg, offset = sep.nonneg, 0.0
     if y.ndim == 1:
         b = A @ y
@@ -1221,27 +1229,13 @@ def _window_series(series: TimeSeries, mask: np.ndarray) -> TimeSeries:
     return TimeSeries(t - t[0], series.values[mask], unit=series.unit)
 
 
-def _refit_betas(t: np.ndarray, Y: np.ndarray, theta: np.ndarray, lead=None) -> tuple[np.ndarray, dict[int, str]]:
+def _polish_betas(t: np.ndarray, Y: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """beta of the two-component fit to each row of ``Y`` on the times
-    ``t``, warm-started at ``theta`` (shape (k,), or (B, k): a start per
-    row): the rows that ``_polish_many`` certifies from it, the others refit
-    in row order by ``fit_nls(init=...)``. With ``lead`` (shape (B,): an
-    earlier row's index, or -1), a row whose lead row has failed is neither
-    refit nor counted.
-    Returns (beta, {row: exception class name} of the refits that failed)."""
+    ``t``, polished from ``theta`` (shape (k,), or (B, k): a start per row)
+    as one ``_polish_many`` batch, and which rows it certified."""
     sep = _SEPARABLE[Family.TWO_COMP]
     W, _, _, certified = _polish_many(sep, t, Y, sep.coords(theta))
-    beta = sep.params(W)[:, 1]
-    theta = np.broadcast_to(theta, (len(Y), theta.shape[-1]))
-    errors = {}
-    for i in np.flatnonzero(~certified):
-        if lead is not None and lead[i] in errors:
-            continue
-        try:
-            beta[i] = fit_nls(TimeSeries(t, Y[i]), Family.TWO_COMP, init=theta[i]).theta[3]
-        except RECOVERABLE as exc:
-            errors[int(i)] = type(exc).__name__
-    return beta, errors
+    return sep.params(W)[:, 1], certified
 
 
 def prepost_delta_beta(
@@ -1302,21 +1296,26 @@ def prepost_delta_beta(
     # one draw of all block starts gives the numbers of a draw per replicate
     starts = np.random.default_rng(seed).integers(0, starts_max, size=(n_boot, n_blocks))
     estar = resid[(starts[:, :, None] + np.arange(block_len)).reshape(n_boot, -1)[:, :m]]
-    # a replicate fails with its first window that fails; the post window
-    # is refit only for the replicates whose pre window was
     Y_pre, Y_post = fitted_pre + estar[:, : len(pre)], fitted_post + estar[:, len(pre) :]
     if np.array_equal(pre.times, post.times):
-        # one batch: the pre rows, then the post rows, each led by its pre row
-        beta, errors = _refit_betas(pre.times, np.concatenate([Y_pre, Y_post]),
-                                    np.repeat([fit_pre.theta, fit_post.theta], n_boot, axis=0),
-                                    np.concatenate([np.full(n_boot, -1), np.arange(n_boot)]))
+        beta, certified = _polish_betas(pre.times, np.concatenate([Y_pre, Y_post]),
+                                        np.repeat([fit_pre.theta, fit_post.theta], n_boot, axis=0))
     else:
-        beta, errors = _refit_betas(pre.times, Y_pre, fit_pre.theta)
-        rows = np.array([i for i in range(n_boot) if i not in errors], dtype=int)
-        boot_post, post_errors = _refit_betas(post.times, Y_post[rows], fit_post.theta)
-        beta = np.concatenate([beta, np.full(n_boot, np.nan)])
-        beta[n_boot + rows] = boot_post
-        errors.update({n_boot + int(rows[j]): name for j, name in post_errors.items()})
+        polished = [_polish_betas(pre.times, Y_pre, fit_pre.theta), _polish_betas(post.times, Y_post, fit_post.theta)]
+        beta, certified = (np.concatenate(part) for part in zip(*polished))
+    # row i < n_boot is replicate i's pre window, row n_boot + i its post
+    # window. The rows not certified are refit singly, the pre rows first; a
+    # replicate fails with its first window that fails, so a post row whose
+    # pre row failed is not refit
+    errors = {}
+    for i in np.flatnonzero(~certified).tolist():
+        if i - n_boot in errors:
+            continue
+        window, fit, Y = (pre, fit_pre, Y_pre) if i < n_boot else (post, fit_post, Y_post)
+        try:
+            beta[i] = fit_nls(TimeSeries(window.times, Y[i % n_boot]), Family.TWO_COMP, init=fit.theta).theta[3]
+        except RECOVERABLE as exc:
+            errors[i] = type(exc).__name__
     kept = [i for i in range(n_boot) if i not in errors and n_boot + i not in errors]
     failures = _failure_counts(errors.values())
     failed = sum(failures.values())
