@@ -230,7 +230,10 @@ def agency_threshold(
     c_fric: float,
     mu_c: float,
 ) -> float:
-    """R* = R_chat + (c_time*dtau + c_fric*dphi) / mu_C."""
+    """R* = R_chat + (c_time*dtau + c_fric*dphi) / mu_C. Raises
+    ValidationError for an input that is not finite or a mu_c <= 0."""
+    if not all(map(math.isfinite, (r_chat, delta_tau, delta_phi, c_time, c_fric, mu_c))):
+        raise ValidationError("r_chat, delta_tau, delta_phi, c_time, c_fric and mu_c must be finite")
     if not (mu_c > 0):
         raise ValidationError("mu_c must be > 0")
     k = c_time * delta_tau + c_fric * delta_phi
@@ -267,9 +270,10 @@ def threshold_uncertainty(
     the one-sided lower bound mu_C - z_{1-a} sigma_mu; with bounded C_f in
     [0, c_max] and a sample size n, the distribution-free Hoeffding floor
     mu_C - c_max*sqrt(log(1/a)/(2n)) is reported as well. Raises
-    ValidationError for a negative sigma_mu or a level outside (0, 1).
+    ValidationError for a sigma_mu that is negative or nan, an input that
+    ``agency_threshold`` rejects, or a level outside (0, 1).
     """
-    if sigma_mu < 0:
+    if not (sigma_mu >= 0):
         raise ValidationError("sigma_mu must be nonnegative")
     _check_level(level)
     r_star = agency_threshold(r_chat, delta_tau, delta_phi, c_time, c_fric, mu_c)

@@ -11,6 +11,7 @@ uncertainty for derived quantities.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -194,7 +195,10 @@ class _Separable:
         columns, shape (m, k, n), and the amplitudes, shape (m, k). One
         ``design`` call, and each row's products by the BLAS call ``solve``
         makes on it, so row r is bit-equal to ``solve``'s at W[r]."""
-        A = np.ascontiguousarray(self.design(W, t).swapaxes(0, 1))
+        # each row starts on 16 bytes, as solve's fresh array does: some BLAS
+        # kernels (OpenBLAS's Prescott) sum a row at an 8-byte offset differently
+        A = np.empty((len(W), len(self.amplitudes), len(t) + len(t) % 2))[..., : len(t)]
+        A[...] = self.design(W, t).swapaxes(0, 1)
         rows = zip((A @ A.swapaxes(1, 2)).tolist(), (A @ Y[..., None])[..., 0].tolist())
         return A, np.array([_amplitudes(G, b, self.nonneg)[0] for G, b in rows])
 
@@ -436,7 +440,7 @@ class _Beaten(Exception):
     """Raised from a polish's Jacobian to stop a start ``_beaten`` by a finished one."""
 
 
-def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev: int) -> _Polish:
+def _fit_coords(sep: _Separable | _PinnedTstar, t: np.ndarray, y: np.ndarray, starts, max_nfev: int) -> _Polish:
     """The coordinates w, polished from each of ``starts`` (a list of w),
     or from the start rule's starts when ``starts`` is None.
 
@@ -500,24 +504,16 @@ def _fit_coords(sep: _Separable, t: np.ndarray, y: np.ndarray, starts, max_nfev:
             best[0] = min(best[0], 2.0 * res.cost)
         return res
 
-    def grid_best(w, pair, split=False):
-        return _grid_best(*_grid(sep, t, y, w, pair), split)
-
-    def polishes():
-        if starts is not None:
-            yield from map(polish, starts)
-        elif len(sep.box) == 2:
-            for w0 in grid_best(np.zeros(2), 0, split=sep.family == Family.TWO_COMP):
-                yield polish(w0)
-        else:
-            lead = _fit_coords(_SEPARABLE[Family.LOGISTIC], t, y, None, max_nfev).x
-            W, val = _grid(sep, t, y, np.concatenate([lead, lead]), 2)
-            minima, k = _grid_minima(W, val[:, None], 3)
-            firsts = [polish(w0) for w0 in minima[: k[0], 0]]
-            yield from firsts
-            yield polish(grid_best(min(firsts, key=lambda r: r.cost).x, 0)[0])
-
-    runs = [r for r in polishes() if r is not None]
+    if starts is None and len(sep.box) == 2:
+        starts = _grid_best(*_grid(sep, t, y, np.zeros(2), 0), sep.family == Family.TWO_COMP)
+    if starts is not None:
+        runs = [polish(w0) for w0 in starts]
+    else:
+        lead = _fit_coords(_SEPARABLE[Family.LOGISTIC], t, y, None, max_nfev).x
+        minima, k = _grid_minima(*_grid(sep, t, y[None], np.concatenate([lead, lead]), 2), 3)
+        runs = [polish(w0) for w0 in minima[: k[0], 0]]
+        runs.append(polish(_grid_best(*_grid(sep, t, y, min(runs, key=lambda r: r.cost).x, 0), False)[0]))
+    runs = [r for r in runs if r is not None]
     done = [r for r in runs if r.status != 0 and math.isfinite(r.cost)]
     if not done:
         exhausted = sum(r.status == 0 for r in runs)
@@ -624,12 +620,15 @@ def fit_nls(
     is also exact to machine precision (e.g. a constant series), which raises
     SingularJacobian: such data admit a continuum of perfect fits. Raises
     InsufficientData, NonConvergence (iteration budget exhausted), or
-    ValidationError for ``max_iter`` below 1 or an ``init`` that is not
-    finite or has a parameter iterated on the log scale at or below 0.
+    ValidationError for ``max_iter`` below 1, a ``tol`` that is not finite
+    and > 0, or an ``init`` that is not finite or has a parameter iterated
+    on the log scale at or below 0.
     """
     family = Family(family)
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and > 0, got {tol}")
     k = curves.family_arity(family)
     t, y = series.times, series.values
     n = len(series)
@@ -1041,8 +1040,7 @@ def _fit_cold_many(t: np.ndarray, Y: np.ndarray) -> tuple[list, dict[int, str]]:
 
 def _failure_counts(names) -> dict[str, int]:
     """{exception class name: count}, in name order."""
-    names = sorted(names)
-    return {name: names.count(name) for name in names}
+    return dict(sorted(Counter(names).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -1271,21 +1269,15 @@ def prepost_delta_beta(
     if block_len is not None and block_len < 1:
         raise ValidationError(f"block_len must be >= 1, got {block_len}")
     w, pre_mask, post_mask, weekend_rule = _select_window(series, spec)
-    pre = _window_series(series, pre_mask)
-    post = _window_series(series, post_mask)
-    fit_pre = fit_nls(pre, Family.TWO_COMP)
-    fit_post = fit_nls(post, Family.TWO_COMP)
-    beta_pre = float(fit_pre.theta[3])
-    beta_post = float(fit_post.theta[3])
+    windows = [_window_series(series, pre_mask), _window_series(series, post_mask)]
+    fits = [fit_nls(window, Family.TWO_COMP) for window in windows]
+    beta_pre, beta_post = (float(fit.theta[3]) for fit in fits)
 
     # dof-rescale per window: raw residuals from a k-parameter fit understate
     # the noise scale by (n-k)/n, which would shrink the bootstrap variance
     k = curves.family_arity(Family.TWO_COMP)
-    scale_pre = math.sqrt(len(pre) / max(len(pre) - k, 1))
-    scale_post = math.sqrt(len(post) / max(len(post) - k, 1))
-    resid = np.concatenate([fit_pre.residuals * scale_pre, fit_post.residuals * scale_post])
-    fitted_pre = pre.values - fit_pre.residuals
-    fitted_post = post.values - fit_post.residuals
+    resid = np.concatenate([fit.residuals * math.sqrt(len(window) / max(len(window) - k, 1))
+                            for window, fit in zip(windows, fits)])
     m = len(resid)
     if block_len is None:
         block_len = int(math.ceil(m ** (1.0 / 3.0)))
@@ -1296,12 +1288,13 @@ def prepost_delta_beta(
     # one draw of all block starts gives the numbers of a draw per replicate
     starts = np.random.default_rng(seed).integers(0, starts_max, size=(n_boot, n_blocks))
     estar = resid[(starts[:, :, None] + np.arange(block_len)).reshape(n_boot, -1)[:, :m]]
-    Y_pre, Y_post = fitted_pre + estar[:, : len(pre)], fitted_post + estar[:, len(pre) :]
-    if np.array_equal(pre.times, post.times):
-        beta, certified = _polish_betas(pre.times, np.concatenate([Y_pre, Y_post]),
-                                        np.repeat([fit_pre.theta, fit_post.theta], n_boot, axis=0))
+    Ys = [window.values - fit.residuals + e
+          for window, fit, e in zip(windows, fits, np.split(estar, [len(windows[0])], axis=1))]
+    if np.array_equal(windows[0].times, windows[1].times):
+        beta, certified = _polish_betas(windows[0].times, np.concatenate(Ys),
+                                        np.repeat([fit.theta for fit in fits], n_boot, axis=0))
     else:
-        polished = [_polish_betas(pre.times, Y_pre, fit_pre.theta), _polish_betas(post.times, Y_post, fit_post.theta)]
+        polished = [_polish_betas(window.times, Y, fit.theta) for window, fit, Y in zip(windows, fits, Ys)]
         beta, certified = (np.concatenate(part) for part in zip(*polished))
     # row i < n_boot is replicate i's pre window, row n_boot + i its post
     # window. The rows not certified are refit singly, the pre rows first; a
@@ -1311,9 +1304,10 @@ def prepost_delta_beta(
     for i in np.flatnonzero(~certified).tolist():
         if i - n_boot in errors:
             continue
-        window, fit, Y = (pre, fit_pre, Y_pre) if i < n_boot else (post, fit_post, Y_post)
+        side, row = divmod(i, n_boot)
         try:
-            beta[i] = fit_nls(TimeSeries(window.times, Y[i % n_boot]), Family.TWO_COMP, init=fit.theta).theta[3]
+            beta[i] = fit_nls(TimeSeries(windows[side].times, Ys[side][row]), Family.TWO_COMP,
+                              init=fits[side].theta).theta[3]
         except RECOVERABLE as exc:
             errors[i] = type(exc).__name__
     kept = [i for i in range(n_boot) if i not in errors and n_boot + i not in errors]
@@ -1341,8 +1335,8 @@ def prepost_delta_beta(
         n_boot=n_boot,
         n_boot_failed=failed,
         failures=failures,
-        pre_cov_unreliable=not fit_pre.converged or fit_pre.cov_unreliable,
-        post_cov_unreliable=not fit_post.converged or fit_post.cov_unreliable,
+        pre_cov_unreliable=not fits[0].converged or fits[0].cov_unreliable,
+        post_cov_unreliable=not fits[1].converged or fits[1].cov_unreliable,
     )
 
 
@@ -1361,11 +1355,12 @@ class ProfileCI:
     upper_reached: bool
 
 
-class _PinnedTstar(_Separable):
+class _PinnedTstar:
     """The two-component curve pinned to t* = t0, for ``_fit_coords`` alone
-    (``solve``, ``dcolumns``): n0 = (beta*umax/alpha) * exp(t0*(alpha -
-    beta)) makes it umax >= 0 times one column at w = (log alpha, log beta),
-    clipped as ``params``; ``dcolumns`` reuses the terms of the last ``solve``."""
+    (``family``, ``solve``, ``dcolumns``): n0 = (beta*umax/alpha) *
+    exp(t0*(alpha - beta)) makes it umax >= 0 times one column at w =
+    (log alpha, log beta), clipped as ``_Separable.params``; ``dcolumns``
+    reuses the terms of the last ``solve``."""
 
     def __init__(self, t0: float):
         self.family, self.t0 = Family.TWO_COMP, t0
@@ -1507,17 +1502,7 @@ def embedding_gradient(
         sxx = float(np.sum((e - e.mean()) ** 2))
         var_slope = s2 / sxx
         z = stdtrit(dof, 0.5 + level / 2.0) if dof > 0 else ndtri(0.5 + level / 2.0)
-    se_slope = math.sqrt(var_slope)
-    slope = float(coef[1])
-    t_stat = slope / se_slope if se_slope > 0 else math.copysign(math.inf, slope or 1.0)
-    return SlopeFit(
-        slope=slope,
-        intercept=float(coef[0]),
-        se=se_slope,
-        ci=(slope - z * se_slope, slope + z * se_slope),
-        t_stat=t_stat,
-        n=len(e),
-    )
+    return _slope_fit(coef, math.sqrt(var_slope), z, len(e))
 
 
 def estimate_hprime0(delta_beta, delta_v, controls=None, level: float = 0.95) -> SlopeFit:
@@ -1540,18 +1525,17 @@ def estimate_hprime0(delta_beta, delta_v, controls=None, level: float = 0.95) ->
     if np.linalg.matrix_rank(X) < X.shape[1]:
         raise DegenerateDesign("design matrix is rank deficient (no usable delta_v variation)")
     coef, vcov = _ols_hc1(X, y)
-    se_h = math.sqrt(max(float(vcov[1, 1]), 0.0))
-    z = ndtri(0.5 + level / 2.0)
-    h = float(coef[1])
-    t_stat = h / se_h if se_h > 0 else math.copysign(math.inf, h or 1.0)
-    return SlopeFit(
-        slope=h,
-        intercept=float(coef[0]),
-        se=se_h,
-        ci=(h - z * se_h, h + z * se_h),
-        t_stat=t_stat,
-        n=len(y),
-    )
+    return _slope_fit(coef, math.sqrt(max(float(vcov[1, 1]), 0.0)), ndtri(0.5 + level / 2.0), len(y))
+
+
+def _slope_fit(coef: np.ndarray, se: float, z: float, n: int) -> SlopeFit:
+    """The SlopeFit of the coefficients (intercept, slope, ...) with the
+    slope's standard error ``se`` and CI quantile ``z``; a slope with se = 0
+    has an infinite t-statistic of its sign (+ for a zero slope)."""
+    slope = float(coef[1])
+    t_stat = slope / se if se > 0 else math.copysign(math.inf, slope or 1.0)
+    return SlopeFit(slope=slope, intercept=float(coef[0]), se=se, ci=(slope - z * se, slope + z * se),
+                    t_stat=t_stat, n=n)
 
 
 def _ols_hc1(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -69,8 +69,8 @@ class BinomialCounts:
         if not (self.m > 0):
             raise ValidationError("m must be > 0")
         tr = np.asarray(self.trials)
-        if np.any(tr < 1):
-            raise ValidationError("trial counts must be >= 1")
+        if tr.dtype.kind not in "iu" or np.any(tr < 1):
+            raise ValidationError(f"trial counts must be integers >= 1, got {self.trials!r}")
 
 
 ErrorModel = GaussianIid | GaussianAr1 | PoissonCounts | BinomialCounts
@@ -197,17 +197,11 @@ def info_matrix(theta: ThetaTwoComp, times, em: ErrorModel) -> InfoReport:
         scale = np.max(np.abs(info))
         simplified_diff = float(np.max(np.abs(simplified - info)) / scale)
     elif isinstance(em, PoissonCounts):
-        lam = em.kappa * curves.eval_curve(theta, times)
-        if np.any(lam <= 0):
-            raise PoissonBoundary("kappa*A(t) must be positive at every design point")
+        lam, _ = _count_law(em, curves.eval_curve(theta, times))
         info = G.T @ (G * (em.kappa**2 / lam)[:, None])
     elif isinstance(em, BinomialCounts):
-        p = curves.eval_curve(theta, times) / em.m
-        if np.any((p <= 0) | (p >= 1)):
-            raise BinomialBoundary("A(t)/M must lie strictly inside (0,1)")
-        trials = np.broadcast_to(np.asarray(em.trials, dtype=float), times.shape)
-        wgt = trials / (em.m**2 * p * (1.0 - p))
-        info = G.T @ (G * wgt[:, None])
+        p, trials = _count_law(em, curves.eval_curve(theta, times))
+        info = G.T @ (G * (trials / (em.m**2 * p * (1.0 - p)))[:, None])
     else:
         raise ValidationError(f"unknown error model {em!r}")
     info = 0.5 * (info + info.T)
@@ -290,17 +284,29 @@ def _sample_many(theta: ThetaTwoComp, times, em: ErrorModel, rngs) -> np.ndarray
             e[:, i] = em.rho * e[:, i - 1] + innov * z[:, i]
         return mean + e
     if isinstance(em, PoissonCounts):
+        lam, _ = _count_law(em, mean)
+        return np.array([rng.poisson(lam) for rng in rngs], dtype=float)
+    if isinstance(em, BinomialCounts):
+        p, trials = _count_law(em, mean)
+        return np.array([rng.binomial(trials, p) for rng in rngs], dtype=float)
+    raise ValidationError(f"unknown error model {em!r}")
+
+
+def _count_law(em: PoissonCounts | BinomialCounts, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The Poisson rates kappa*A(t) and None, or the Binomial probabilities
+    A(t)/M and the trial counts, one per design point, from the curve
+    ``mean`` there; a boundary error where the law is undefined."""
+    if isinstance(em, PoissonCounts):
         lam = em.kappa * mean
         if np.any(lam <= 0):
             raise PoissonBoundary("kappa*A(t) must be positive at every design point")
-        return np.array([rng.poisson(lam) for rng in rngs], dtype=float)
-    if isinstance(em, BinomialCounts):
-        p = mean / em.m
-        if np.any((p <= 0) | (p >= 1)):
-            raise BinomialBoundary("A(t)/M must lie strictly inside (0,1)")
-        trials = np.broadcast_to(np.asarray(em.trials), times.shape)
-        return np.array([rng.binomial(trials, p) for rng in rngs], dtype=float)
-    raise ValidationError(f"unknown error model {em!r}")
+        return lam, None
+    p = mean / em.m
+    if np.any((p <= 0) | (p >= 1)):
+        raise BinomialBoundary("A(t)/M must lie strictly inside (0,1)")
+    if np.ndim(em.trials) and np.shape(em.trials) != mean.shape:
+        raise ValidationError(f"need one trial count per design point ({len(mean)}), got {np.shape(em.trials)}")
+    return p, np.broadcast_to(np.asarray(em.trials), mean.shape)
 
 
 @dataclass(frozen=True)

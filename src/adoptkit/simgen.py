@@ -119,10 +119,11 @@ def theta_for_depth(
     """Scale n0 at fixed (alpha, beta, umax) to hit a target trough depth.
 
     depth = 0 returns the monotone boundary n0 = beta*umax/alpha (the least
-    favorable null for the constrained LR test).
+    favorable null for the constrained LR test). Raises ValidationError for a
+    depth that is not finite and >= 0.
     """
-    if depth < 0:
-        raise ValidationError("depth must be nonnegative")
+    if not 0 <= depth < math.inf:
+        raise ValidationError(f"depth must be finite and nonnegative, got {depth}")
     if not (alpha > beta):
         raise ValidationError("trough regime requires alpha > beta")
     n0_boundary = beta * umax / alpha

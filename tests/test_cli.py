@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adoptkit import cli, datasets, econ, estimate, jsonio
+from adoptkit import cli, datasets, econ, estimate, fisher, infer, jsonio, simgen
+from adoptkit.curves import ThetaTwoComp
 from adoptkit.errors import NonMonotoneTime, ParseError
 
 SUBCOMMANDS = [
@@ -111,6 +112,14 @@ class TestFitAndCompare:
         assert payload["converged"] is True
         assert payload["theta"][0] == pytest.approx(1.2357, rel=1e-3)
 
+    def test_compare_reports_a_family_that_cannot_be_fit(self, capsys, tmp_path):
+        # 6 points: too few for the 6-parameter families, enough for the others
+        path = tmp_path / "six.csv"
+        path.write_text("t,y\n" + "".join(f"{t},{y}\n" for t, y in enumerate([1.0, 0.8, 0.9, 1.3, 1.7, 1.9])))
+        rows = {row["family"]: row for row in run_json(capsys, ["compare", "--data", str(path)])["models"]}
+        assert rows["bilogistic"] == {"family": "bilogistic", "error": "need at least 7 points for bilogistic, got 6"}
+        assert "error" not in rows["logistic"] and np.isfinite(rows["logistic"]["aic"])
+
     def test_compare_plot_export(self, capsys, tmp_path):
         out = tmp_path / "tidy.csv"
         code, _ = run_cli(
@@ -147,6 +156,12 @@ class TestTestCommand:
         bp = run_json(capsys, ["test", "--data", "builtin:enterprise78", "--which", "bp"])
         assert 0.0 <= bp["p"] <= 1.0
 
+    def test_lr_matches_library(self, capsys):
+        payload = run_json(capsys, ["test", "--data", "builtin:synthetic21", "--which", "lr"])
+        result = infer.constrained_lr(datasets.synthetic21().series)
+        assert payload == {"statistic": pytest.approx(result.statistic, rel=1e-9),
+                           "p": pytest.approx(result.p_value, rel=1e-9), "method": result.method}
+
 
 class TestCrlbCommand:
     def test_info_report_layout(self, capsys):
@@ -169,6 +184,23 @@ class TestCrlbCommand:
         )
         assert payload["ar1_simplified_info"]["rows"] == 4
         assert payload["ar1_simplified_max_rel_diff"] > 0
+
+    @pytest.mark.parametrize("flags, em", [
+        (["--error-model", "poisson", "--kappa", "20"], fisher.PoissonCounts(20.0)),
+        (["--error-model", "binomial", "--m", "5", "--trials", "30"], fisher.BinomialCounts(5.0, 30)),
+    ], ids=["poisson", "binomial"])
+    def test_count_models_in_crlb_and_simulate(self, capsys, flags, em):
+        theta, times = ThetaTwoComp(3.0, 0.8, 2.0, 0.25), [0.0, 1.0, 2.0, 18.0, 19.0, 20.0]
+        payload = run_json(capsys, ["crlb", *THETA, "--times", "0,1,2,18,19,20", *flags])
+        report = fisher.info_matrix(theta, times, em)
+        assert payload["crlb_alpha"] == pytest.approx(report.crlb_alpha, rel=1e-9)
+        assert payload["crlb_beta"] == pytest.approx(report.crlb_beta, rel=1e-9)
+        code, text = run_cli(capsys, ["simulate", *THETA, "--seed", "3", *flags])
+        series = simgen.gen_series(theta, em, 21, 20.0, seed=3)
+        assert code == 0
+        rows = zip(series.times.tolist(), series.values.tolist())
+        assert text == "t,y\n" + "".join(f"{t!r},{y!r}\n" for t, y in rows)
+        assert np.array_equal(series.values, np.round(series.values))
 
 
 class TestThreshold:
@@ -282,7 +314,8 @@ class TestSimulateAndIo:
         code, _ = run_cli(capsys, ["fit", "--data", str(const)])
         assert code == 3
         # malformed flags and config files exit 2 with a message, no traceback
-        for name, text in [("reps.cfg", "replicates = abc\n"), ("depths.cfg", "depths = 0,x\n")]:
+        for name, text in [("reps.cfg", "replicates = abc\n"), ("depths.cfg", "depths = 0,x\n"),
+                           ("nan.cfg", "depths = nan\nreplicates = 2\n")]:
             (tmp_path / name).write_text(text)
         theta = ["--n0", "1", "--alpha", "0.8", "--umax", "2", "--beta", "0.25"]
         for argv in [
@@ -290,6 +323,8 @@ class TestSimulateAndIo:
             ["crlb", *theta, "--times", "0,x"],
             ["benchmark", "--config", str(tmp_path / "reps.cfg")],
             ["benchmark", "--config", str(tmp_path / "depths.cfg")],
+            ["benchmark", "--config", str(tmp_path / "nan.cfg")],  # ran a depth-0 scenario
+            ["fit", "--data", "builtin:synthetic21", "--tol", "nan"],
             ["benchmark", "--config", str(tmp_path / "missing.cfg")],
             ["test", "--data", "builtin:synthetic21", "--seed", "-1"],
             ["simulate", *theta, "--seed", "-1"],
@@ -297,6 +332,8 @@ class TestSimulateAndIo:
             ["benchmark", "--seed", "-1"],
             ["threshold", "--r-chat", "0.5", "--delta-tau", "0.3", "--delta-phi", "0.1",
              "--mu-c", "1", "--sigma-mu", "0.05", "--level", "1.5"],
+            ["threshold", "--r-chat", "nan", "--delta-tau", "0.3", "--delta-phi", "0.1",
+             "--mu-c", "1"],  # printed {"r_star": null}
         ]:
             try:
                 code = cli.main(argv)
@@ -457,6 +494,14 @@ class TestBenchmarkCommand:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "error:" in captured.err and "horizon" in captured.err
+
+    def test_config_line_without_equals_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("depths = 0.2\nreplicates 2\n")
+        code = cli.main(["benchmark", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: config line is not 'key = value': 'replicates 2'\n"
 
     def test_n_points_must_be_integers(self, capsys, tmp_path):
         # before: 21.7 ran silently with n = 21

@@ -197,6 +197,21 @@ class TestAgencyThreshold:
         hi = agency_threshold(0.5, 0.3, 0.1, 1.0, 1.0, 1.6)
         assert lo > hi
 
+    @pytest.mark.parametrize("at", range(6))
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_input_raises(self, at, value):
+        # before: a nan r_chat returned nan, which the CLI printed as null
+        args = [0.5, 0.3, 0.1, 1.0, 1.0, 1.0]
+        args[at] = value
+        with pytest.raises(ValidationError, match="finite"):
+            agency_threshold(*args)
+        with pytest.raises(ValidationError, match="finite"):
+            threshold_uncertainty(*args, 0.05)
+
+    def test_nan_sigma_mu_raises(self):
+        with pytest.raises(ValidationError, match="sigma_mu"):
+            threshold_uncertainty(0.5, 0.3, 0.1, 1.0, 1.0, 1.0, math.nan)
+
 
 class TestThresholdUncertainty:
     def test_zero_sigma_degenerate(self):

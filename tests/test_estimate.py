@@ -76,6 +76,13 @@ class TestFitNls:
         with pytest.raises(ValidationError, match="max_iter"):
             ak.fit_nls(datasets.load_builtin("enterprise78raw").series, "logisticbump", max_iter=max_iter)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-6, math.inf])
+    def test_tol_not_finite_and_positive_raises(self, tol):
+        # before: nan marked every fit not converged, <= 0 every fit of a
+        # series not fit exactly, inf every fit converged
+        with pytest.raises(ValidationError, match="tol"):
+            ak.fit_nls(datasets.synthetic21().series, tol=tol)
+
     def test_insufficient_data(self):
         series = TimeSeries([0.0, 1.0, 2.0], [1.0, 1.1, 1.3])
         with pytest.raises(InsufficientData):
@@ -1761,7 +1768,16 @@ class TestEdgeFlag:
         series = datasets.load_builtin(name).series
         fit = estimate.fit_nls(series, family)
         params = dict(zip(curves.FAMILY_PARAMS[family], fit.theta.tolist()))
-        assert [p for p, v in params.items() if v == pytest.approx(self.EDGE, rel=1e-9, abs=0.0)] == at_edge
+        at_clip = [p for p, v in params.items() if v == pytest.approx(self.EDGE, rel=1e-9, abs=0.0)]
+        if family == Family.BI_LOGISTIC:
+            # the second logistic ends as the constant k2: the data leave c2
+            # and g2 free, and which of them lands on the clip depends on the
+            # last bits of the BLAS kernel. The fit and its curve do not
+            assert at_clip and set(at_clip) <= set(at_edge)
+            assert fit.sse == pytest.approx(6.000012153, rel=1e-9)
+            assert (params["c2"] * np.exp(-params["g2"] * series.times)).max() <= 1e-9
+        else:
+            assert at_clip == at_edge
         self.assert_flagged_as_degenerate(family, series.times, series.values, fit)
 
     def test_twocomp_fit_at_alpha_to_zero(self):

@@ -144,6 +144,20 @@ class TestInfoMatrix:
         expected = G.T @ (G * (30.0 / (25.0 * p * (1 - p)))[:, None])
         assert np.allclose(report.info_full, expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("trials", [2.5, 0, np.array([3.0, 4.0])], ids=["fraction", "zero", "float-array"])
+    def test_binomial_trials_must_be_integers(self, trials):
+        # before: info_matrix took 2.5 and sampling raised numpy's TypeError
+        with pytest.raises(ValidationError, match="trial counts"):
+            BinomialCounts(m=5.0, trials=trials)
+
+    def test_binomial_trials_one_per_design_point(self):
+        # before: numpy's ValueError, which the scenario loop does not catch
+        em, times = BinomialCounts(m=5.0, trials=np.arange(1, 6)), np.linspace(0.0, 20.0, 21)
+        with pytest.raises(ValidationError, match="one trial count per design point"):
+            info_matrix(THETA, times, em)
+        with pytest.raises(ValidationError, match="one trial count per design point"):
+            sample_observations(THETA, times, em, np.random.default_rng(0))
+
     def test_score_correlation_negative(self):
         rng = np.random.default_rng(8)
         for _ in range(50):

@@ -60,6 +60,10 @@ class TestGenSeries:
     def test_validation(self):
         with pytest.raises(ValidationError):
             simgen.gen_series(THETA, GaussianIid(0.1), 1, 20.0)
+        # before: nan returned the depth-0 boundary
+        for depth in (float("nan"), -0.1, float("inf")):
+            with pytest.raises(ValidationError, match="depth"):
+                simgen.theta_for_depth(depth)
         with pytest.raises(ValidationError):
             simgen.gen_series(THETA, GaussianIid(0.1), 21, -1.0)
 
