@@ -157,7 +157,7 @@ class _Separable:
         self.family, self.amplitudes, self.box = family, amplitudes, box
         self.columns, self.dcolumns = columns, dcolumns
         self.nonlinear = [i for i in range(len(positive)) if i not in amplitudes]
-        self.nonneg = positive[amplitudes]
+        self.nonneg = positive[amplitudes].tolist()  # Python bools: ``_amplitudes`` tests them per call
         self.logs = positive[self.nonlinear]
         self.in_logs = np.array(self.nonlinear)[self.logs]  # their theta positions
         self.order = np.argsort(amplitudes + self.nonlinear).tolist()
@@ -457,10 +457,10 @@ def _fit_coords(sep: _Separable | _PinnedTstar, t: np.ndarray, y: np.ndarray, st
     two-component ``_SEPARABLE`` entry, ``_PinnedTstar``) takes the exact
     Jacobian (``_vp_jacobian``, from the columns of the last evaluation);
     the others (and the monotone cone) take lmdif's forward differences,
-    their points evaluated as one batch (``_Separable.residuals``), and
-    repeat lmdif's iterates. ``max_nfev`` caps a polish's function plus
-    Jacobian evaluations. A run that uses up its budget, or whose residuals
-    are not finite, is dropped.
+    each point evaluated with its difference points as one batch
+    (``_Separable.residuals``), and repeat lmdif's iterates. ``max_nfev``
+    caps a polish's function plus Jacobian evaluations. A run that uses up
+    its budget, or whose residuals are not finite, is dropped.
 
     The lmder polishes run ``_polish_many``'s merit filter (it acts on the
     cold two-component pairs): once a polish has ended certified (status !=
@@ -475,7 +475,7 @@ def _fit_coords(sep: _Separable | _PinnedTstar, t: np.ndarray, y: np.ndarray, st
     best = [math.inf]  # the least SSE of a certified polish
 
     def residual(w):
-        if w.ndim > 1:  # the points of a forward-difference Jacobian
+        if w.ndim > 1:  # a point and its forward-difference points
             return sep.residuals(w, t, y)
         A, c = sep.solve(w, t, y)
         last[:] = A, c, c @ A - y
@@ -665,12 +665,15 @@ def _fit_reports(family: Family, t: np.ndarray, Y: np.ndarray, Theta: np.ndarray
     infinity), is flagged ``converged=False`` and ``cov_unreliable``. The
     Jacobians, J'J, its condition numbers and inverses are taken for all
     rows at once (stacked ``matmul`` and ``np.linalg``), so a row's bytes
-    are those of a batch of it alone; the SSE is a dot per row.
+    are those of a batch of it alone; the SSE is a dot per row, on a row
+    aligned as a fresh array is, so it is ``FitReport.sse``'s.
     Returns (reports, {row: exception} of the rows that raised, whose report
     is None): SingularJacobian for a singular exact fit, LinAlgError where
     J'J has no singular values (it has a NaN)."""
     (B, k), n = Theta.shape, len(t)
-    E = Y - curves._eval_values(family, Theta.T[..., None], t)
+    # each row starts on 16 bytes, as a batch of one's does (``_Separable.solve_many``)
+    E = np.empty((B, n + n % 2))[:, :n]
+    np.subtract(Y, curves._eval_values(family, Theta.T[..., None], t), out=E)
     J = _jacobian(family, t, Theta)
     jtj = J.swapaxes(1, 2) @ J
     grad = 2.0 * ((J * np.where(curves.FAMILY_POSITIVE[family], Theta, 1.0)[:, None]).swapaxes(1, 2)
@@ -755,9 +758,12 @@ def _lmdif(residual, z0: np.ndarray, max_nfev: int, jacobian=None) -> _Polish:
 
     Without ``jacobian`` the Jacobian is MINPACK fdjac2's: column j is
     (R(x + h_j e_j) - r(x)) / h_j with h_j = sqrt(eps)*|x_j| (sqrt(eps)
-    where that is 0), the d points evaluated as one batch (``residual`` of
-    shape (d, d) returns (d, n)). lmdif and lmder share their iteration, so
-    the polish repeats lmdif's iterates, and its budget counts as lmdif's:
+    where that is 0). Each new point x is evaluated with its d difference
+    points as one batch (``residual`` of shape (d + 1, d) returns (d + 1, n)),
+    and its Jacobian is kept for lmder's ``jac`` call there, which follows an
+    accepted trial; a rejected trial's d rows go unused. lmdif and lmder
+    share their iteration, so the polish repeats lmdif's iterates, and its
+    budget counts as lmdif's:
     1 + d at MINPACK's first Jacobian, then d per Jacobian and 1 per
     function call. It stops, status 0, at the first call after the trial
     that brings the count to ``max_nfev`` (lmdif's info 5). With
@@ -777,7 +783,13 @@ def _lmdif(residual, z0: np.ndarray, max_nfev: int, jacobian=None) -> _Polish:
         if spent:
             raise _Spent
         if x.tobytes() != key:
-            key, r, J = x.tobytes(), residual(x + shift), None
+            key = x.tobytes()
+            if jacobian is not None:
+                r, J = residual(x + shift), None
+            else:  # the point and its difference points, as one batch
+                h = np.array([_FD_STEP * abs(v) or _FD_STEP for v in x.tolist()])
+                R = residual(np.vstack([x, x + np.diag(h)]) + shift)
+                r, J = R[0], (R[1:] - R[0]) / h[:, None]
         if njev > uncounted:
             nfev += 1
             spent = nfev >= max_nfev
@@ -792,11 +804,7 @@ def _lmdif(residual, z0: np.ndarray, max_nfev: int, jacobian=None) -> _Polish:
                 raise _Spent
             nfev += len(x) + (njev == 2)
         if J is None:
-            if jacobian is not None:
-                J = jacobian(x + shift)
-            else:
-                h = [_FD_STEP * abs(v) or _FD_STEP for v in x.tolist()]
-                J = (residual(x + np.diag(h) + shift) - r) / np.array(h)[:, None]
+            J = jacobian(x + shift)
         return J
 
     try:

@@ -1223,6 +1223,25 @@ class TestFitReports:
         assert report_bytes(reports[0]) == report_bytes(
             fit_report_reference(family, series.times, series.values, fit.theta, fit.n_iter, degenerate))
 
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(B=st.integers(1, 29))
+    @example(B=29)
+    def test_rows_match_one_row_batches_on_any_kernel(self, B):
+        # 21 points: a row of a (B, 21) array starts on 8 bytes when i is odd, and
+        # some BLAS kernels (OpenBLAS's Prescott) sum such a row in another order
+        S = [simgen.gen_series(simgen.theta_for_depth(0.2), fisher.GaussianIid(0.05), 21, 20.0, seed=(B, i))
+             for i in range(B)]
+        t, Y = S[0].times, np.array([s.values for s in S])
+        fits = [estimate.fit_nls(s) for s in S]
+        Theta, nfev = np.array([f.theta for f in fits]), [f.n_iter for f in fits]
+        reports, errors = estimate._fit_reports(Family.TWO_COMP, t, Y, Theta, nfev)
+        assert not errors
+        for i, report in enumerate(reports):
+            alone = estimate._fit_reports(Family.TWO_COMP, t, Y[i : i + 1], Theta[i : i + 1], nfev[i : i + 1])[0][0]
+            assert report_bytes(report) == report_bytes(alone)
+            e = np.array(report.residuals)
+            assert report.sse == float(np.dot(e, e))
+
 
 class TestLmpar:
     """``estimate._lmpar`` against the contract of MINPACK's lmpar."""
@@ -2133,6 +2152,50 @@ class TestForwardDifferenceLmder:
         expected = fit()
         monkeypatch.setattr(estimate, "_lmdif", reference)
         assert fit() == expected
+
+    @pytest.mark.parametrize("family", [Family.LOGISTIC, Family.BI_LOGISTIC], ids=lambda f: f.value)
+    def test_each_evaluation_is_one_batch(self, monkeypatch, family):
+        # every point lmdif evaluates is one residual call with its d difference
+        # points; ``solve`` is never called, and the points are lmdif's, in order
+        series = datasets.load_builtin("enterprise78").series
+        lmdif, residuals, solve = estimate._lmdif, estimate._Separable.residuals, estimate._Separable.solve
+        polishes, batches = [], [None]  # the running polish's residual calls, else None
+
+        def recorded(residual, z0, max_nfev, jacobian=None):
+            if jacobian is not None:
+                return lmdif(residual, z0, max_nfev, jacobian)
+            polishes.append((residual, np.array(z0, dtype=float), max_nfev, []))
+            batches[0] = polishes[-1][3]
+            try:
+                return lmdif(residual, z0, max_nfev)
+            finally:
+                batches[0] = None
+
+        def counted(self, W, *args):
+            batches[0].append(np.array(W))
+            return residuals(self, W, *args)
+
+        def forbidden(self, *args):
+            assert batches[0] is None, "solve called in a polish"
+            return solve(self, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(estimate, "_lmdif", recorded)
+            m.setattr(estimate._Separable, "residuals", counted)
+            m.setattr(estimate._Separable, "solve", forbidden)
+            estimate.fit_nls(series, family)
+        assert len(polishes) >= 1 + (family == Family.BI_LOGISTIC)
+        for residual, z0, max_nfev, batches in polishes:
+            d = len(z0)
+            points = []
+            lmdif_reference(lambda w: points.append(w) or residual(w), z0, max_nfev)
+            assert batches and all(W.shape == (d + 1, d) for W in batches)
+            steps = [W[1:] - W[0] for W in batches]
+            assert all((D == np.diag(np.diag(D))).all() and (np.diag(D) > 0.0).all() for D in steps)
+            differences = {w.tobytes() for W in batches for w in W[1:]}
+            evaluated = [w.tobytes() for w in points if w.tobytes() not in differences]
+            evaluated = [w for i, w in enumerate(evaluated) if i == 0 or w != evaluated[i - 1]]
+            assert [W[0].tobytes() for W in batches] == evaluated
 
     @pytest.mark.parametrize("sep", [*(estimate._SEPARABLE[f] for f in FORWARD_DIFFERENCE), estimate._MONOTONE_CONE],
                              ids=[*(f.value for f in FORWARD_DIFFERENCE), "cone"])
