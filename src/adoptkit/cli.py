@@ -192,6 +192,8 @@ def cmd_threshold(args) -> dict | econ.ThresholdReport:
     if mu_c is None:
         raise ValidationError("either --mu-c or --economy is required")
     if args.sigma_mu is None:
+        if args.c_max is not None or args.n_samples is not None:
+            raise ValidationError("--c-max and --n-samples need --sigma-mu")
         return {"r_star": econ.agency_threshold(
             args.r_chat, args.delta_tau, args.delta_phi, args.c_time, args.c_fric, mu_c
         )}

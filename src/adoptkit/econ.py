@@ -271,12 +271,22 @@ def threshold_uncertainty(
     [0, c_max] and a sample size n, the distribution-free Hoeffding floor
     mu_C - c_max*sqrt(log(1/a)/(2n)) is reported as well. Raises
     ValidationError for a sigma_mu that is negative or nan, an input that
-    ``agency_threshold`` rejects, or a level outside (0, 1).
+    ``agency_threshold`` rejects, a level outside (0, 1), a ``c_max`` or
+    ``n`` given without the other, a c_max that is not finite and >= mu_C
+    (C_f in [0, c_max] cannot average more), or an n that is not an integer
+    >= 1.
     """
     if not (sigma_mu >= 0):
         raise ValidationError("sigma_mu must be nonnegative")
     _check_level(level)
     r_star = agency_threshold(r_chat, delta_tau, delta_phi, c_time, c_fric, mu_c)
+    if (c_max is None) != (n is None):
+        raise ValidationError("c_max and n must be given together")
+    if c_max is not None:
+        if not mu_c <= c_max < math.inf:
+            raise ValidationError(f"c_max must be finite and >= mu_C = {mu_c!r}, got {c_max!r}")
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+            raise ValidationError(f"n must be an integer >= 1, got {n!r}")
     k = c_time * delta_tau + c_fric * delta_phi
     variance = (k / mu_c**2) ** 2 * sigma_mu**2
     z2 = ndtri(0.5 + level / 2.0)
@@ -291,9 +301,7 @@ def threshold_uncertainty(
     robust = r_chat + k / mu_low
     hoeff_pen = None
     hoeff_r = None
-    if c_max is not None and n is not None:
-        if not (c_max > 0 and n > 0):
-            raise ValidationError("c_max and n must be positive")
+    if c_max is not None:
         hoeff_pen = c_max * math.sqrt(math.log(1.0 / alpha) / (2.0 * n))
         mu_hoeff = mu_c - hoeff_pen
         if mu_hoeff > 0:

@@ -176,10 +176,12 @@ class _Separable:
         return np.concatenate([c, self.params(w)], axis=-1)[..., self.order]
 
     def design(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The columns at ``w`` (shape (d,) or (g, d)), shape (m, n) or (m, g, n)."""
+        """The columns at ``w`` (shape (d,) or (g, d)), shape (m, n) or (m, g, n):
+        a list of the columns is stacked, and columns that come stacked (the
+        bi-logistic's) are taken as they are."""
         p = self.params(w)
         # a polish step passes floats: numpy is slower on 1-element arrays
-        return np.array(self.columns(*(p.T[..., None] if w.ndim > 1 else p.tolist()), t))
+        return np.asarray(self.columns(*(p.T[..., None] if w.ndim > 1 else p.tolist()), t))
 
     def solve(self, w: np.ndarray, t: np.ndarray, y: np.ndarray):
         """The columns and the amplitudes at ``w``: closed-form for one or
@@ -251,6 +253,15 @@ def _logistic(c, g, t):
     return 1.0 / (1.0 + c * np.exp(-g * t))
 
 
+def _bi_logistic(c1, g1, c2, g2, t):
+    """The bi-logistic's columns: at a batch of points, one ``_logistic`` on
+    both components stacked, each element as when taken alone; at one point
+    (floats, where stacking costs more than it saves), one call each."""
+    if isinstance(c1, float):
+        return [_logistic(c1, g1, t), _logistic(c2, g2, t)]
+    return _logistic(np.array([c1, c2]), np.array([g1, g2]), t)
+
+
 def _monotone_cone(beta, gap, t):
     """The nondecreasing two-component curves (alpha >= beta): amplitudes
     >= 0 times u = (1 - exp(-beta*t))/beta and exp(-alpha*t) + alpha*u (the
@@ -271,8 +282,7 @@ _SEPARABLE = {
     Family.LOGISTIC: _Separable(Family.LOGISTIC, [0], ("offset", "rate"), lambda c, g, t: [_logistic(c, g, t)]),
     Family.BASS: _Separable(Family.BASS, [0], ("rate", "rate"), lambda p, q, t: [
         (1.0 - (e := np.exp(-(p + q) * t))) / (1.0 + (q / p) * e)]),
-    Family.BI_LOGISTIC: _Separable(Family.BI_LOGISTIC, [0, 3], ("offset", "rate", "offset", "rate"),
-                                   lambda c1, g1, c2, g2, t: [_logistic(c1, g1, t), _logistic(c2, g2, t)]),
+    Family.BI_LOGISTIC: _Separable(Family.BI_LOGISTIC, [0, 3], ("offset", "rate", "offset", "rate"), _bi_logistic),
     Family.DOUBLE_EXP: _Separable(Family.DOUBLE_EXP, [0, 1, 3], ("rate", "rate"), lambda r1, r2, t: [
         np.ones_like(e := np.exp(-r1 * t)), 0.0 - e, 0.0 - np.exp(-r2 * t)]),
     Family.LOGISTIC_BUMP: _Separable(Family.LOGISTIC_BUMP, [0, 3], ("offset", "rate", "center", "width"),
@@ -436,6 +446,31 @@ def _beaten(S, gd, g01, b, best, margin: float = 1.0 + 1e-6, where=lambda cond, 
     return full & (S - quad / where(full, det, 1.0) > best * margin)
 
 
+#: the last logistic fit by the start rule: (key of its times and values, its polish)
+_logistic_memo = None
+
+
+def _logistic_fit(t: np.ndarray, y: np.ndarray, max_nfev: int) -> _Polish:
+    """``_fit_coords``' logistic fit by its start rule, which is also the
+    lead of the four-coordinate families, so a ``compare`` polishes it once
+    per series. The last one that ended certified is kept, its x read-only,
+    with the key of its times and values (the dtype, length and bytes of
+    each, as ``_box_grid``'s key). A call whose budget is above that
+    polish's evaluations takes it, since its own polish would end at the
+    same point; any other call polishes anew. The memo is replaced whole,
+    so threads that race on it only polish twice."""
+    global _logistic_memo
+    key = tuple(v for a in (t, y) for v in (a.dtype.str, len(a), a.tobytes()))
+    memo = _logistic_memo
+    if memo is not None and memo[0] == key and memo[1].nfev < max_nfev:
+        return memo[1]
+    sep = _SEPARABLE[Family.LOGISTIC]
+    res = _fit_coords(sep, t, y, _grid_best(*_grid(sep, t, y, np.zeros(2), 0), False), max_nfev)
+    res.x.flags.writeable = False
+    _logistic_memo = key, res
+    return res
+
+
 class _Beaten(Exception):
     """Raised from a polish's Jacobian to stop a start ``_beaten`` by a finished one."""
 
@@ -446,10 +481,12 @@ def _fit_coords(sep: _Separable | _PinnedTstar, t: np.ndarray, y: np.ndarray, st
 
     The two-coordinate families start from the best point of a grid over
     their box; the two-component curve from the best one on each side of
-    alpha = beta. The four-coordinate families take their first pair from
-    the logistic fit and their second from the three best local minima of
-    the grid with the first pair fixed; after those polishes, the first pair
-    is taken again from the grid with the second fixed at the best result
+    alpha = beta; the logistic fit by this rule is ``_logistic_fit``'s,
+    which keeps the last one. The four-coordinate families take their first
+    pair from that logistic fit (on one series, the logistic family and both
+    leads are polished once) and their second from the three best local
+    minima of the grid with the first pair fixed; after those polishes, the
+    first pair is taken again from the grid with the second fixed at the best result
     (the components' roles swapped). The best polish wins: MINPACK's
     Levenberg-Marquardt, lmder (``_lmdif``), or for the double exponential
     a trust-region solve bounded by its box, which keeps its collapse to one
@@ -470,6 +507,8 @@ def _fit_coords(sep: _Separable | _PinnedTstar, t: np.ndarray, y: np.ndarray, st
     keeps a tie within the 1e-6 margin, and a deep trough's alpha < beta
     start, which cannot win, stops after a few steps.
     """
+    if starts is None and sep is _SEPARABLE[Family.LOGISTIC]:
+        return _logistic_fit(t, y, max_nfev)
 
     last = []  # the columns, amplitudes and residual of the last evaluation
     best = [math.inf]  # the least SSE of a certified polish
@@ -760,17 +799,22 @@ def _lmdif(residual, z0: np.ndarray, max_nfev: int, jacobian=None) -> _Polish:
     (R(x + h_j e_j) - r(x)) / h_j with h_j = sqrt(eps)*|x_j| (sqrt(eps)
     where that is 0). Each new point x is evaluated with its d difference
     points as one batch (``residual`` of shape (d + 1, d) returns (d + 1, n)),
-    and its Jacobian is kept for lmder's ``jac`` call there, which follows an
-    accepted trial; a rejected trial's d rows go unused. lmdif and lmder
-    share their iteration, so the polish repeats lmdif's iterates, and its
-    budget counts as lmdif's:
-    1 + d at MINPACK's first Jacobian, then d per Jacobian and 1 per
-    function call. It stops, status 0, at the first call after the trial
+    formed in one buffer per polish, which ``residual`` must not keep: row 0
+    x + shift and row j + 1 (x + h_j e_j) + shift, the points lmdif
+    differences. The point's Jacobian is kept for lmder's ``jac`` call
+    there, which follows an accepted trial; a rejected trial's d rows go
+    unused. lmdif and lmder share their iteration, so the polish repeats
+    lmdif's iterates, and its budget counts as lmdif's: 1 + d at MINPACK's
+    first Jacobian, then d per Jacobian and 1 per function call. It stops, status 0, at the first call after the trial
     that brings the count to ``max_nfev`` (lmdif's info 5). With
     ``jacobian``, lmder gets max_nfev // 2 function evaluations, each step
     one of each, and ``nfev`` counts both kinds.
     """
     shift = np.asarray(z0, dtype=float) - 100.0
+    d = len(shift)
+    if jacobian is None:  # one batch's points, and its steps: exact zeros off the diagonal
+        points, steps = np.empty((d + 1, d)), np.zeros((d, d))
+        h = steps.diagonal()[:, None]  # a view: the last batch's steps
     key, r, J = None, None, None
     # MINPACK's first Jacobian is the second ``jac`` call: leastsq checks
     # Dfun's shape first. Every function call before it is at z0, every one
@@ -787,9 +831,11 @@ def _lmdif(residual, z0: np.ndarray, max_nfev: int, jacobian=None) -> _Polish:
             if jacobian is not None:
                 r, J = residual(x + shift), None
             else:  # the point and its difference points, as one batch
-                h = np.array([_FD_STEP * abs(v) or _FD_STEP for v in x.tolist()])
-                R = residual(np.vstack([x, x + np.diag(h)]) + shift)
-                r, J = R[0], (R[1:] - R[0]) / h[:, None]
+                steps.flat[:: d + 1] = [_FD_STEP * abs(v) or _FD_STEP for v in x.tolist()]
+                points[0] = x
+                np.add(x, steps, out=points[1:])
+                R = residual(np.add(points, shift, out=points))
+                r, J = R[0], (R[1:] - R[0]) / h
         if njev > uncounted:
             nfev += 1
             spent = nfev >= max_nfev

@@ -17,11 +17,13 @@ move among them. Output is JSON, except ``simulate``'s CSV, whose cells are
 compared as the fields.
 
 It then compares the output digests of the first two passes of the
-``refits`` and ``mc_scenarios`` benchmark workloads on four seeds, each
-workload and seed in a fresh process that imports its tree's
+``refits``, ``mc_scenarios`` and ``interactive`` benchmark workloads on four
+seeds, each workload and seed in a fresh process that imports its tree's
 ``perfbench/workloads.py`` (and writes no bytecode there). No CLI command
-reaches the pre/post bootstrap or the profile CI, and a second pass repeats
-the first one's times on new data.
+reaches the pre/post bootstrap or the profile CI, a second pass repeats the
+first one's times on new data, and ``interactive`` runs its commands in one
+process, where what a command leaves in the package's memos (the start grid,
+the logistic fit) meets the next command.
 
 The exit status is 0 when every command and digest is equal, 1 when one is
 not, and 2 when REV cannot be unpacked.
@@ -44,7 +46,7 @@ THETA = ["--n0", "3", "--alpha", "0.8", "--umax", "2", "--beta", "0.25"]
 #: the scenario grid of the CI determinism step
 GRID = "depths = 0, 0.2\nsigmas = 0.05\nrhos = 0, 0.3\nn_points = 21\nreplicates = 20\nseed = 7\nshape_boot = 50\n"
 #: the workloads and seeds (the default and the hold-out) whose first PASSES pass digests are compared
-WORKLOADS, SEEDS, PASSES = ["refits", "mc_scenarios"], [1, 2, 3, 20261017], 2
+WORKLOADS, SEEDS, PASSES = ["refits", "mc_scenarios", "interactive"], [1, 2, 3, 20261017], 2
 #: prints a workload's pass digests, run in its tree as ``python -c DIGESTS workload seed passes``
 DIGESTS = """
 import json, sys

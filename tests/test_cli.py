@@ -334,6 +334,15 @@ class TestSimulateAndIo:
              "--mu-c", "1", "--sigma-mu", "0.05", "--level", "1.5"],
             ["threshold", "--r-chat", "nan", "--delta-tau", "0.3", "--delta-phi", "0.1",
              "--mu-c", "1"],  # printed {"r_star": null}
+            # a lone --n-samples or --c-max was ignored, c_max = inf gave a null
+            # penalty, and c_max < mu_C a Hoeffding floor
+            *(["threshold", "--r-chat", "0.5", "--delta-tau", "0.3", "--delta-phi", "0.1", "--mu-c", "1",
+               "--sigma-mu", "0.05", *hoeffding] for hoeffding in (
+                ["--n-samples", "0"], ["--c-max", "0.5"], ["--c-max", "inf", "--n-samples", "10"],
+                ["--c-max", "0.5", "--n-samples", "10"], ["--c-max", "2", "--n-samples", "0"])),
+            # and without --sigma-mu both were ignored
+            ["threshold", "--r-chat", "0.5", "--delta-tau", "0.3", "--delta-phi", "0.1", "--mu-c", "1",
+             "--c-max", "2", "--n-samples", "10"],
         ]:
             try:
                 code = cli.main(argv)

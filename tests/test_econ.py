@@ -235,6 +235,24 @@ class TestThresholdUncertainty:
         assert rep.hoeffding_penalty == pytest.approx(0.2448, abs=5e-4)
         assert rep.hoeffding_r_star > rep.r_star
 
+    @pytest.mark.parametrize("c_max, n, match", [
+        (None, 0, "together"), (0.5, None, "together"), (2.0, None, "together"),
+        (math.inf, 10, "c_max"), (math.nan, 10, "c_max"), (0.5, 10, "c_max"), (-1.0, 10, "c_max"),
+        (2.0, 0, "n must"), (2.0, -3, "n must"), (2.0, 2.5, "n must"), (2.0, 10.0, "n must"),
+        (2.0, True, "n must"),
+    ])
+    def test_hoeffding_inputs_are_checked(self, c_max, n, match):
+        # each was ignored or reported before: a lone c_max or n, a Hoeffding
+        # floor from c_max < mu_C (C_f in [0, c_max] cannot average mu_C), a
+        # null penalty for c_max = inf, and n = 2.5
+        with pytest.raises(ValidationError, match=match):
+            threshold_uncertainty(0.5, 0.3, 0.1, 1.0, 1.0, 1.0, 0.05, c_max=c_max, n=n)
+
+    def test_hoeffding_bound_at_mu_c(self):
+        # c_max = mu_C is the least bound C_f in [0, c_max] allows; n may be a numpy integer
+        rep = threshold_uncertainty(0.5, 0.3, 0.1, 1.0, 1.0, 1.0, 0.05, c_max=1.0, n=np.int64(200))
+        assert rep.hoeffding_penalty == pytest.approx(math.sqrt(math.log(20.0) / 400.0), rel=1e-12)
+
     def test_robust_exceeds_point_threshold(self):
         rep = threshold_uncertainty(0.5, 0.3, 0.1, 1.0, 1.0, 1.0, 0.08)
         assert rep.robust_r_star >= rep.r_star

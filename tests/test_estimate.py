@@ -1916,6 +1916,7 @@ class TestStartGridMemo:
     @staticmethod
     def forget(monkeypatch):
         monkeypatch.setattr(estimate, "_box_grid_memo", None)
+        monkeypatch.setattr(estimate, "_logistic_memo", None)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_fit_after_a_memo_hit_is_that_of_an_empty_memo(self, monkeypatch, family):
@@ -2079,6 +2080,7 @@ class TestForwardDifferenceLmder:
         with monkeypatch.context() as m:
             m.setattr(estimate, "_lmdif", recorded)
             for call in calls:
+                m.setattr(estimate, "_logistic_memo", None)  # each call polishes its own logistic lead
                 call()
         return polishes
 
@@ -2139,6 +2141,7 @@ class TestForwardDifferenceLmder:
         series, lmdif = datasets.load_builtin(name).series, estimate._lmdif
 
         def fit():
+            monkeypatch.setattr(estimate, "_logistic_memo", None)
             try:
                 return report_bytes(estimate.fit_nls(series, family, max_iter=max_iter))
             except NonConvergence as exc:
@@ -2183,6 +2186,7 @@ class TestForwardDifferenceLmder:
             m.setattr(estimate, "_lmdif", recorded)
             m.setattr(estimate._Separable, "residuals", counted)
             m.setattr(estimate._Separable, "solve", forbidden)
+            m.setattr(estimate, "_logistic_memo", None)
             estimate.fit_nls(series, family)
         assert len(polishes) >= 1 + (family == Family.BI_LOGISTIC)
         for residual, z0, max_nfev, batches in polishes:
@@ -2213,6 +2217,87 @@ class TestForwardDifferenceLmder:
         for w, r in zip(W, R):
             A, c = sep.solve(w, t, y)
             assert r.tobytes() == (c @ A - y).tobytes()
+
+
+class TestLogisticMemo:
+    """``estimate._logistic_fit``: the last logistic fit by the start rule
+    is kept with its times and values, and the logistic fit and the
+    four-coordinate families' lead take it from there only where their own
+    polish would have ended at the same point, so a fit after a hit has
+    the bytes of one with an empty memo."""
+
+    LEAD = [Family.LOGISTIC, Family.BI_LOGISTIC, Family.LOGISTIC_BUMP]
+
+    @staticmethod
+    def forget(monkeypatch):
+        monkeypatch.setattr(estimate, "_logistic_memo", None)
+
+    @staticmethod
+    def logistic_polishes(calls):
+        """How many times running ``calls`` polishes the logistic family."""
+        logistic = estimate._SEPARABLE[Family.LOGISTIC]
+        with mock.patch.object(estimate, "_fit_coords", wraps=estimate._fit_coords) as fit_coords:
+            for call in calls:
+                call()
+        return sum(c.args[0] is logistic and c.args[3] is not None for c in fit_coords.call_args_list)
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_fits_after_a_hit_are_those_of_an_empty_memo(self, monkeypatch, name):
+        series = datasets.load_builtin(name).series
+        empty = {}
+        for family in self.LEAD:
+            self.forget(monkeypatch)
+            empty[family] = report_bytes(estimate.fit_nls(series, family))
+        for order in itertools.permutations(self.LEAD):
+            self.forget(monkeypatch)
+            reports = {}
+            calls = [lambda f=f: reports.__setitem__(f, report_bytes(estimate.fit_nls(series, f))) for f in order]
+            assert self.logistic_polishes(calls) == 1, order
+            assert reports == empty, order
+
+    def test_other_values_times_dtype_or_length_miss(self, monkeypatch):
+        self.forget(monkeypatch)
+        series = datasets.load_builtin("synthetic21").series
+        t, y = series.times, series.values
+        res = estimate._logistic_fit(t, y, 4000)
+        assert not res.x.flags.writeable
+        assert estimate._logistic_fit(t.copy(), y.copy(), 4000) is res
+        y2 = y.copy()
+        y2[3] += 1e-3
+        for other in ((t, y2), (t + 1.0, y), (t.astype(">f8"), y), (t, y.astype(">f8")), (t[:-1], y[:-1])):
+            assert estimate._logistic_fit(*other, 4000) is not res
+            assert estimate._logistic_memo[1] is not res
+            res = estimate._logistic_fit(t, y, 4000)
+
+    def test_a_fit_over_the_budget_is_not_reused(self, monkeypatch):
+        series = datasets.load_builtin("enterprise78").series
+        t, y = series.times, series.values
+        self.forget(monkeypatch)
+        res = estimate._logistic_fit(t, y, 4000)
+        assert estimate._logistic_fit(t, y, res.nfev + 1) is res
+        assert estimate._logistic_fit(t, y, res.nfev) is not res
+        for family in self.LEAD:
+            per_iter = curves.family_arity(family) + 1  # fit_nls's budget is max_iter times this
+            # a budget the kept polish used up (polished anew), then one above it (reused)
+            for max_iter, polishes in ((res.nfev // per_iter, 1), (res.nfev // per_iter + 1, 0)):
+                def fit():
+                    try:
+                        return report_bytes(estimate.fit_nls(series, family, max_iter=max_iter))
+                    except NonConvergence as exc:
+                        return str(exc)
+
+                estimate._logistic_fit(t, y, 4000)
+                hit = []
+                assert self.logistic_polishes([lambda: hit.append(fit())]) == polishes, (family, max_iter)
+                self.forget(monkeypatch)
+                assert hit[0] == fit(), (family, max_iter)
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_compare_polishes_the_logistic_once(self, monkeypatch, capsys, name):
+        from adoptkit import cli
+
+        self.forget(monkeypatch)
+        assert self.logistic_polishes([lambda: cli.main(["compare", "--data", f"builtin:{name}"])]) == 1
 
 
 class TestEquivariance:
