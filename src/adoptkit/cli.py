@@ -260,31 +260,23 @@ def cmd_benchmark(args) -> simgen.BenchmarkReport:
 
 
 def _write_benchmark_csv(report, path: str) -> None:
-    import csv as _csv
-
     cols = [
         "depth", "n_points", "error_model", "sigma", "rho", "replicates", "n_failed", "degraded",
         "well_conditioned", "near_degenerate", "coverage_tstar", "type1_lr",
         "type1_shape", "power_lr", "power_shape", "mean_crlb_ratio",
     ]
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(cols)
-        for s in report.scenarios:
-            row = []
-            for col in cols:
-                if col == "error_model":
-                    val = type(s.error_model).__name__
-                elif col in ("sigma", "rho"):
-                    # iid Gaussian noise is the grid's rho = 0; count models have neither
-                    iid = isinstance(s.error_model, fisher.GaussianIid)
-                    val = getattr(s.error_model, col, 0.0 if iid else "")
-                else:
-                    val = getattr(s, col)
-                if isinstance(val, float):
-                    val = f"{val:.10g}"
-                row.append(val)
-            writer.writerow(row)
+
+    def cell(s, col):
+        if col == "error_model":
+            return type(s.error_model).__name__
+        if col in ("sigma", "rho"):
+            # iid Gaussian noise is the grid's rho = 0; count models have neither
+            val = getattr(s.error_model, col, 0.0 if isinstance(s.error_model, fisher.GaussianIid) else "")
+        else:
+            val = getattr(s, col)
+        return f"{val:.{jsonio.FLOAT_SIG_DIGITS}g}" if isinstance(val, float) else val
+
+    jsonio.write_csv(path, cols, ([cell(s, col) for col in cols] for s in report.scenarios))
 
 
 def cmd_pilot(args) -> simgen.PilotResult:

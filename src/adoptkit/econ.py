@@ -21,7 +21,7 @@ from .errors import (
     NonpositiveLowerBound,
     ValidationError,
 )
-from .estimate import _check_level, _ols_hc1
+from .estimate import _ols_hc1, _z_of_level
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,6 @@ class TaskEconomy:
             raise ValidationError(f"task weights must sum to 1, got {total}")
         if self.c_time < 0 or self.c_fric < 0:
             raise ValidationError("cost weights must be nonnegative")
-
-    def weights(self) -> np.ndarray:
-        return np.array([t.w for t in self.tasks])
 
 
 def task_utility(task: Task, r: float, c_time: float, c_fric: float) -> float:
@@ -278,7 +275,7 @@ def threshold_uncertainty(
     """
     if not (sigma_mu >= 0):
         raise ValidationError("sigma_mu must be nonnegative")
-    _check_level(level)
+    z2 = _z_of_level(level)
     r_star = agency_threshold(r_chat, delta_tau, delta_phi, c_time, c_fric, mu_c)
     if (c_max is None) != (n is None):
         raise ValidationError("c_max and n must be given together")
@@ -289,7 +286,6 @@ def threshold_uncertainty(
             raise ValidationError(f"n must be an integer >= 1, got {n!r}")
     k = c_time * delta_tau + c_fric * delta_phi
     variance = (k / mu_c**2) ** 2 * sigma_mu**2
-    z2 = ndtri(0.5 + level / 2.0)
     half = z2 * abs(k) * sigma_mu / mu_c**2
     alpha = 1.0 - level
     z1 = ndtri(level)

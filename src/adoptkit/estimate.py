@@ -1065,18 +1065,17 @@ def _fit_cold_many(t: np.ndarray, Y: np.ndarray) -> tuple[list, dict[int, str]]:
     such rows as one batch (``_fit_reports``, its amplitudes from
     ``_Separable.solve_many``); the others are fit by ``fit_nls``. Returns
     (reports, {row: exception class name} of the rows that raised); a row
-    that raised has report None.
+    that raised has report None. ``t`` must be a design that ``fit_nls``
+    accepts, which the callers check once (``ScenarioGrid``, ``crlb_check``).
     """
     sep = _SEPARABLE[Family.TWO_COMP]
-    B, n = Y.shape
-    side = np.full(B, -1)  # each row's certified start in the batch; -1: none
-    # times that fit_nls refuses go to it, to raise
-    if n > curves.family_arity(Family.TWO_COMP) and np.all(np.diff(t) > 0.0) and np.isfinite(t).all():
-        starts = np.concatenate(_grid_best(*_grid(sep, t, Y, np.zeros(2), 0), split=True))
-        W, S, nfev, certified = _polish_many(sep, t, np.concatenate([Y, Y]), starts,
-                                             ((np.arange(2 * B) + B) % (2 * B))[:, None])
-        side = np.where(S[B:] < S[:B], np.arange(B, 2 * B), np.arange(B))
-        side[~(certified[:B] & certified[B:])] = -1
+    B = len(Y)
+    starts = np.concatenate(_grid_best(*_grid(sep, t, Y, np.zeros(2), 0), split=True))
+    W, S, nfev, certified = _polish_many(sep, t, np.concatenate([Y, Y]), starts,
+                                         ((np.arange(2 * B) + B) % (2 * B))[:, None])
+    # each row's certified start in the batch; -1: none
+    side = np.where(S[B:] < S[:B], np.arange(B, 2 * B), np.arange(B))
+    side[~(certified[:B] & certified[B:])] = -1
     reports, errors, rows = [None] * B, {}, np.flatnonzero(side >= 0)
     if len(rows):
         Theta = sep.theta(W[side[rows]], sep.solve_many(W[side[rows]], t, Y[rows])[1])
@@ -1161,9 +1160,12 @@ def identify_from_moments(
 # delta-method CI for t*
 # ---------------------------------------------------------------------------
 
-def _check_level(level: float) -> None:
+def _z_of_level(level: float) -> float:
+    """The two-sided normal quantile of a confidence level, ndtri(0.5 +
+    level/2); ValidationError for a level outside (0, 1)."""
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must be in (0, 1), got {level}")
+    return ndtri(0.5 + level / 2.0)
 
 
 @dataclass(frozen=True)
@@ -1180,7 +1182,7 @@ def delta_ci_tstar(fit: FitReport, level: float = 0.95) -> TstarDelta:
     variance = grad(t*)' Sigma grad(t*) with the closed-form sensitivities.
     Raises ValidationError for a ``level`` outside (0, 1).
     """
-    _check_level(level)
+    z = _z_of_level(level)
     theta = fit.theta_two_comp()
     report = curves.classify_phase(theta)
     if report.t_star is None:
@@ -1188,7 +1190,6 @@ def delta_ci_tstar(fit: FitReport, level: float = 0.95) -> TstarDelta:
     g = curves.tstar_sensitivities(theta)[curves.FIT_ORDER]
     var = float(g @ fit.cov @ g)
     var = max(var, 0.0)
-    z = ndtri(0.5 + level / 2.0)
     half = z * math.sqrt(var)
     return TstarDelta(
         t_star=report.t_star,
@@ -1250,8 +1251,6 @@ class PrePostReport:
 
 
 def _count_weekends(dow: np.ndarray) -> int:
-    if len(dow) < 2:
-        return 0
     return int(np.sum((dow[:-1] == 5) & (dow[1:] == 6)))
 
 
@@ -1317,7 +1316,7 @@ def prepost_delta_beta(
     when ``n_boot`` < 10, fewer replicates than the variance needs, when
     ``block_len`` < 1, or for a ``level`` outside (0, 1).
     """
-    _check_level(level)
+    z = _z_of_level(level)
     if n_boot < 10:
         raise ValidationError(f"n_boot must be >= 10, got {n_boot}")
     if block_len is not None and block_len < 1:
@@ -1375,7 +1374,6 @@ def prepost_delta_beta(
     cov = float(np.cov(arr[:, 0], arr[:, 1], ddof=1)[0, 1])
     var_delta = max(var_post + var_pre - 2.0 * cov, 0.0)
     se = math.sqrt(var_delta)
-    z = ndtri(0.5 + level / 2.0)
     delta = beta_post - beta_pre
     return PrePostReport(
         beta_pre=beta_pre,
@@ -1459,7 +1457,7 @@ def profile_ci_tstar(series: TimeSeries, level: float = 0.95, max_steps: int = 4
     Raises ValidationError before any fit for a ``level`` outside (0, 1) or
     ``max_steps`` < 1.
     """
-    _check_level(level)
+    _z_of_level(level)
     if max_steps < 1:
         raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
     fit = fit_nls(series, Family.TWO_COMP)
@@ -1528,8 +1526,10 @@ def embedding_gradient(
     (requires per-cohort ``se``, each finite and > 0; ValidationError
     otherwise), a fixed-effects 1/se^2-weighted regression is used, the
     slope variance comes from (X'WX)^-1 directly, and the CI uses normal
-    quantiles (variances treated as known).
+    quantiles (variances treated as known). Raises ValidationError for a
+    ``level`` outside (0, 1).
     """
+    z = _z_of_level(level)
     e = np.asarray(e, dtype=float)
     b = np.asarray(beta_hat, dtype=float)
     if e.shape != b.shape or e.ndim != 1 or len(e) < 2:
@@ -1547,7 +1547,6 @@ def embedding_gradient(
         xtwx = X.T @ (X * wgt[:, None])
         coef = np.linalg.solve(xtwx, X.T @ (wgt * b))
         var_slope = float(np.linalg.inv(xtwx)[1, 1])
-        z = ndtri(0.5 + level / 2.0)
     else:
         coef, *_ = np.linalg.lstsq(X, b, rcond=None)
         resid = b - X @ coef
@@ -1555,7 +1554,7 @@ def embedding_gradient(
         s2 = float(resid @ resid) / dof if dof > 0 else 0.0
         sxx = float(np.sum((e - e.mean()) ** 2))
         var_slope = s2 / sxx
-        z = stdtrit(dof, 0.5 + level / 2.0) if dof > 0 else ndtri(0.5 + level / 2.0)
+        z = stdtrit(dof, 0.5 + level / 2.0) if dof > 0 else z
     return _slope_fit(coef, math.sqrt(var_slope), z, len(e))
 
 
@@ -1563,8 +1562,10 @@ def estimate_hprime0(delta_beta, delta_v, controls=None, level: float = 0.95) ->
     """Hazard slope at zero from panel increments.
 
     OLS of delta_beta on delta_v with controls partialled out and an HC1
-    heteroskedasticity-robust standard error.
+    heteroskedasticity-robust standard error. Raises ValidationError for a
+    ``level`` outside (0, 1).
     """
+    z = _z_of_level(level)
     y = np.asarray(delta_beta, dtype=float)
     v = np.asarray(delta_v, dtype=float)
     if y.shape != v.shape or y.ndim != 1 or len(y) < 2:
@@ -1579,7 +1580,7 @@ def estimate_hprime0(delta_beta, delta_v, controls=None, level: float = 0.95) ->
     if np.linalg.matrix_rank(X) < X.shape[1]:
         raise DegenerateDesign("design matrix is rank deficient (no usable delta_v variation)")
     coef, vcov = _ols_hc1(X, y)
-    return _slope_fit(coef, math.sqrt(max(float(vcov[1, 1]), 0.0)), ndtri(0.5 + level / 2.0), len(y))
+    return _slope_fit(coef, math.sqrt(max(float(vcov[1, 1]), 0.0)), z, len(y))
 
 
 def _slope_fit(coef: np.ndarray, se: float, z: float, n: int) -> SlopeFit:

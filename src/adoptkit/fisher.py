@@ -19,6 +19,7 @@ from . import curves
 from .curves import ThetaTwoComp
 from .errors import (
     BinomialBoundary,
+    InsufficientData,
     NonConvergence,
     PoissonBoundary,
     SingularNuisance,
@@ -340,13 +341,18 @@ def crlb_check(
     seeds are counter-based, so the result is a pure function of (inputs,
     seed). ``threads`` is accepted and ignored (replicates run in one
     process). Fit failures are counted, by exception class in ``failures``;
-    fewer than 2 successful refits raise NonConvergence.
+    fewer than 2 successful refits raise NonConvergence. Before any replicate
+    is drawn, times that ``TimeSeries`` refuses raise as there (NonMonotoneTime
+    when they do not strictly increase), and fewer than 5 InsufficientData.
     """
     from . import estimate  # local import: estimate does not depend on fisher
 
     if replicates < 100:
         raise ValidationError("need at least 100 replicates")
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    estimate.TimeSeries(times, times)  # the times check of fit_nls, made once for every refit
+    if len(times) < 5:
+        raise InsufficientData(f"need at least 5 points for twocomp, got {len(times)}")
     report = info_matrix(theta, times, em)
 
     Y = _sample_many(theta, times, em, [np.random.default_rng(np.random.SeedSequence((_seed_int(seed), 0, i)))

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonMonotoneTime, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .estimate import TimeSeries
 
 FLOAT_SIG_DIGITS = 10
@@ -95,7 +95,9 @@ def _rows(path, columns) -> list[tuple[int, dict]]:
 
 
 def load_csv(path, t_col: str = "t", y_col: str = "y", dow_col: str | None = None) -> TimeSeries:
-    """Load a TimeSeries from a headered, decimal-point, UTF-8 CSV file."""
+    """Load a TimeSeries from a headered, decimal-point, UTF-8 CSV file;
+    ``TimeSeries`` checks the values (times that do not strictly increase
+    raise NonMonotoneTime)."""
     columns = [(t_col, float), (y_col, float)] + ([(dow_col, int)] if dow_col else [])
     parsed = []
     for i, row in _rows(path, [col for col, _ in columns]):
@@ -107,24 +109,26 @@ def load_csv(path, t_col: str = "t", y_col: str = "y", dow_col: str | None = Non
                 raise ParseError(f"invalid value {row.get(col)!r}", row=i, column=col) from None
         parsed.append(cells)
     times, values, *dows = zip(*parsed)
-    t = np.asarray(times)
-    if np.any(np.diff(t) <= 0):
-        raise NonMonotoneTime("time column must be strictly increasing")
-    return TimeSeries(t, np.asarray(values), dow=np.asarray(dows[0]) if dow_col else None)
+    return TimeSeries(np.asarray(times), np.asarray(values), dow=np.asarray(dows[0]) if dow_col else None)
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write ``header`` and then each row of ``rows`` to ``path`` as UTF-8
+    CSV in the csv module's default dialect (\\r\\n line ends)."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def save_csv(series: TimeSeries, path, t_col: str = "t", y_col: str = "y") -> None:
     """Write a TimeSeries as CSV; round-trips through load_csv byte-stably."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = [t_col, y_col] + (["dow"] if series.dow is not None else [])
-        writer.writerow(header)
-        for i in range(len(series)):
-            row = [repr(float(series.times[i])), repr(float(series.values[i]))]
-            if series.dow is not None:
-                row.append(str(int(series.dow[i])))
-            writer.writerow(row)
+    header = [t_col, y_col]
+    cols = [[repr(float(v)) for v in series.times], [repr(float(v)) for v in series.values]]
+    if series.dow is not None:
+        header.append("dow")
+        cols.append([str(int(d)) for d in series.dow])
+    write_csv(path, header, zip(*cols))
 
 
 def load_task_economy(path, c_time: float = 1.0, c_fric: float = 1.0):
@@ -143,13 +147,7 @@ def load_task_economy(path, c_time: float = 1.0, c_fric: float = 1.0):
 
 def save_tidy_curves(path, series: TimeSeries, fitted: dict[str, np.ndarray]) -> None:
     """Tidy (series, t, value) CSV for external plotting: observed plus fits."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", "t", "value"])
-        for i in range(len(series)):
-            writer.writerow(["observed", repr(float(series.times[i])), repr(float(series.values[i]))])
-        for name in sorted(fitted):
-            vals = fitted[name]
-            for i in range(len(series)):
-                writer.writerow([name, repr(float(series.times[i])), repr(float(vals[i]))])
+    times = [repr(float(t)) for t in series.times]
+    named = [("observed", series.values)] + [(name, fitted[name]) for name in sorted(fitted)]
+    write_csv(path, ["series", "t", "value"],
+              ([name, t, repr(float(v))] for name, vals in named for t, v in zip(times, vals)))

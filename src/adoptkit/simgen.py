@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import curves, estimate, fisher, infer
 from .curves import PhaseKind, ThetaTwoComp
@@ -174,7 +173,7 @@ class ScenarioGrid:
             raise ValidationError("replicates and shape_boot must be >= 1 and seed >= 0")
         if any(n < 5 for n in ns) or not 0.0 < self.horizon < math.inf:
             raise ValidationError("n_points must be >= 5 and horizon finite and > 0")
-        estimate._check_level(self.level)
+        estimate._z_of_level(self.level)
 
 
 @dataclass(frozen=True)
@@ -210,10 +209,11 @@ class BenchmarkReport:
 
 
 def wilson_interval(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion; ValidationError for
+    a ``level`` outside (0, 1)."""
+    z = estimate._z_of_level(level)
     if n == 0:
         return (0.0, 1.0)
-    z = ndtri(0.5 + level / 2.0)
     p = k / n
     denom = 1.0 + z**2 / n
     center = (p + z**2 / (2 * n)) / denom
@@ -228,7 +228,7 @@ def _run_scenario(
     grid: ScenarioGrid,
     scenario_index: int,
 ) -> ScenarioResult:
-    times = np.linspace(0.0, grid.horizon, n_points)
+    times = equispaced(n_points, grid.horizon)
     phase = curves.classify_phase(theta)
     has_trough = phase.kind == PhaseKind.TROUGH
     t_true = phase.t_star

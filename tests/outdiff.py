@@ -8,13 +8,17 @@ tree, each command in a fresh ``python -m adoptkit.cli`` process that
 imports the package from its tree's ``src/``. The set: ``compare`` and
 ``fit`` of all six families on the three builtins; ``test --which
 lr|shape|vuong|dw|bp`` on the three builtins; ``crlb``, ``simulate``,
-``pilot``, ``phase`` and ``threshold``; and the scenario grid of CI's
-determinism step under ``benchmark``.
+``pilot``, ``phase`` and ``threshold``; the scenario grid of CI's
+determinism step under ``benchmark``; and two that fail: ``fit`` on a CSV
+whose times go back, and ``threshold --level 1.5``. Each ``compare`` writes
+its ``--plot-out`` file and ``benchmark`` its ``--out-csv`` file, each tree
+its own.
 
-Per command it prints whether the bytes (stdout, stderr and exit status)
-are equal; if not, the numeric fields that moved and the largest relative
-move among them. Output is JSON, except ``simulate``'s CSV, whose cells are
-compared as the fields.
+Per command it prints whether the bytes (stdout, stderr, exit status and
+the file the command writes) are equal; if not, the numeric fields that
+moved and the largest relative move among them. Output is JSON, except
+``simulate``'s CSV and the written files, whose cells are compared as the
+fields.
 
 It then compares the output digests of the first two passes of the
 ``refits``, ``mc_scenarios`` and ``interactive`` benchmark workloads on four
@@ -45,6 +49,12 @@ FAMILIES = ["twocomp", "logistic", "bass", "bilogistic", "doubleexp", "logisticb
 THETA = ["--n0", "3", "--alpha", "0.8", "--umax", "2", "--beta", "0.25"]
 #: the scenario grid of the CI determinism step
 GRID = "depths = 0, 0.2\nsigmas = 0.05\nrhos = 0, 0.3\nn_points = 21\nreplicates = 20\nseed = 7\nshape_boot = 50\n"
+#: a series whose times go back, which ``fit`` refuses
+BACKWARDS = "t,y\n0,1.0\n1,1.5\n3,2.0\n2,2.5\n4,3.0\n5,3.2\n"
+#: stands for the path of the file a command writes: each tree writes its own
+OUT = "out.csv"
+THRESHOLD = ["threshold", "--r-chat", "0.51", "--delta-tau", "0.3", "--delta-phi", "0.1", "--mu-c", "1.0",
+             "--sigma-mu", "0.05"]
 #: the workloads and seeds (the default and the hold-out) whose first PASSES pass digests are compared
 WORKLOADS, SEEDS, PASSES = ["refits", "mc_scenarios", "interactive"], [1, 2, 3, 20261017], 2
 #: prints a workload's pass digests, run in its tree as ``python -c DIGESTS workload seed passes``
@@ -58,19 +68,20 @@ for p in range(int(sys.argv[3])):
 """
 
 
-def commands(grid: str) -> list[list[str]]:
+def commands(grid: str, backwards: str) -> list[list[str]]:
     data = [["--data", f"builtin:{name}"] for name in BUILTINS]
     return [
-        *(["compare", *d] for d in data),
+        *(["compare", *d, "--plot-out", OUT] for d in data),
         *(["fit", *d, "--family", family] for d in data for family in FAMILIES),
         *(["test", "--which", which, *d] for d in data for which in ["lr", "shape", "vuong", "dw", "bp"]),
         ["crlb", *THETA, "--times", "0,1,2,18,19,20", "--sigma", "0.1"],
         ["simulate", *THETA, "--sigma", "0.05", "--seed", "7"],
         ["pilot", "--seed", "42", "--n-tasks", "200"],
         ["phase", *THETA],
-        ["threshold", "--r-chat", "0.51", "--delta-tau", "0.3", "--delta-phi", "0.1", "--mu-c", "1.0",
-         "--sigma-mu", "0.05"],
-        ["benchmark", "--config", grid],
+        THRESHOLD,
+        ["benchmark", "--config", grid, "--out-csv", OUT],
+        ["fit", "--data", backwards],
+        [*THRESHOLD, "--level", "1.5"],
     ]
 
 
@@ -140,33 +151,43 @@ def main(argv=None) -> int:
             print(f"error: cannot unpack {rev}: {archive.stderr.decode().strip()}", file=sys.stderr)
             return 2
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
-        grid = Path(tmp) / "grid.cfg"
+        grid, backwards = Path(tmp) / "grid.cfg", Path(tmp) / "backwards.csv"
         grid.write_text(GRID)
-        cmds = commands(str(grid))
-        equal = 0
+        backwards.write_text(BACKWARDS)
+        cmds = commands(str(grid), str(backwards))
+        names = {str(grid): grid.name, str(backwards): backwards.name}
+        equal = files = files_equal = 0
         for argv_ in cmds:
-            cli = ["-m", "adoptkit.cli", *argv_]
-            (code_a, out_a, err_a), (code_b, out_b, err_b) = run(base, cli), run(ROOT, cli)
-            label = " ".join(a if a != str(grid) else "grid.cfg" for a in argv_)
-            if (code_a, out_a, err_a) == (code_b, out_b, err_b):
+            sides = []
+            for tree in (base, ROOT):
+                out = Path(tmp) / OUT
+                cli = ["-m", "adoptkit.cli", *(str(out) if a == OUT else a for a in argv_)]
+                sides.append((*run(tree, cli), out.read_bytes().decode() if out.exists() else None))
+                out.unlink(missing_ok=True)
+            (code_a, out_a, err_a, file_a), (code_b, out_b, err_b, file_b) = sides
+            label = " ".join(names.get(a, a) for a in argv_)
+            if OUT in argv_:
+                files += 1
+                files_equal += file_a is not None and file_a == file_b
+            if sides[0] == sides[1]:
                 equal += 1
                 print(f"equal    {label}")
                 continue
-            moved = moves(out_a, out_b)
+            moved = moves(out_a, out_b) + [(f"{OUT}:{path}", rel) for path, rel in moves(file_a or "", file_b or "")]
             numeric = [rel for _, rel in moved if rel is not None]
-            notes = [f"{len(numeric)} numeric fields moved, largest relative move {max(numeric, default=0.0):.3g}"]
+            notes = [f"{len(numeric)} numeric fields moved, largest relative move {max(numeric):.3g}"] if numeric else []
             if len(numeric) < len(moved):
                 notes.append(f"{len(moved) - len(numeric)} other fields changed")
-            if code_a != code_b:
-                notes.append(f"exit {code_a} -> {code_b}")
+            notes.append(f"exit {code_a} -> {code_b}" if code_a != code_b else f"exit {code_a} on both")
             if err_a != err_b:
-                notes.append("stderr differs")
+                notes.append(f"stderr {err_a.strip()[-200:]!r} -> {err_b.strip()[-200:]!r}")
             print(f"DIFFERS  {label}: {'; '.join(notes)}")
             for path, rel in moved[:20]:
                 print(f"    {path}: " + ("changed" if rel is None else f"moved {rel:.3g}"))
             if len(moved) > 20:
                 print(f"    ... and {len(moved) - 20} more")
-        print(f"{equal} of {len(cmds)} commands byte-equal between {rev} and the working tree")
+        print(f"{equal} of {len(cmds)} commands byte-equal between {rev} and the working tree"
+              f" ({files_equal} of the {files} written files)")
         runs = [(name, seed) for name in WORKLOADS for seed in SEEDS]
         same = 0
         for name, seed in runs:

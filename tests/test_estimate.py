@@ -23,6 +23,7 @@ from adoptkit.errors import (
     DegenerateIdentification,
     InsufficientData,
     NonConvergence,
+    NonMonotoneTime,
     SingularJacobian,
     ValidationError,
     WindowInfeasible,
@@ -33,6 +34,24 @@ from adoptkit.estimate import TimeSeries, WindowSpec
 def noiseless_series(theta, n=41, horizon=20.0):
     t = np.linspace(0.0, horizon, n)
     return TimeSeries(t, ak.eval_curve(theta, t))
+
+
+class TestTimeSeries:
+    @pytest.mark.parametrize("times, values, dow, error, match", [
+        ([[0.0, 1.0]], [[1.0, 2.0]], None, ValidationError, "1-d"),
+        ([0.0, 1.0, 2.0], [1.0, 2.0], None, ValidationError, "equally long"),
+        ([0.0, math.inf, 2.0], [1.0, 2.0, 3.0], None, ValidationError, "finite"),
+        ([0.0, 1.0, 2.0], [1.0, math.nan, 3.0], None, ValidationError, "finite"),
+        ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0], None, NonMonotoneTime, "strictly increasing"),
+        ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0], None, NonMonotoneTime, "strictly increasing"),
+        ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [0, 1], ValidationError, "same length"),
+        ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [0, 7, 1], ValidationError, "0..6"),
+        ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [0, -1, 1], ValidationError, "0..6"),
+    ], ids=["not-1d", "lengths", "time-inf", "value-nan", "back", "repeat", "dow-length",
+            "dow-high", "dow-negative"])
+    def test_checks(self, times, values, dow, error, match):
+        with pytest.raises(error, match=match):
+            TimeSeries(np.array(times), np.array(values), dow=dow)
 
 
 class TestFitNls:
@@ -439,6 +458,10 @@ class TestPrePost:
         )
         assert rep.weekend_rule_applied
         assert rep.window_used == 10
+
+    @pytest.mark.parametrize("dow, count", [([], 0), ([5], 0), ([5, 6], 1), ([6, 5, 6, 5, 6], 2)])
+    def test_weekends_of_short_windows(self, dow, count):
+        assert estimate._count_weekends(np.array(dow, dtype=int)) == count
 
     @pytest.mark.parametrize("field", [
         {"intervention_time": math.nan}, {"intervention_time": math.inf},
@@ -1432,6 +1455,15 @@ class TestEmbeddingGradient:
         with pytest.raises(ValidationError, match="se"):
             ak.embedding_gradient([c.e for c in rows], [c.beta_hat for c in rows], se=se, weighted=True)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_level_outside_unit_interval_raises(self, level, weighted):
+        # before: level 1.5 gave ci (nan, nan)
+        rows = datasets.cohorts()
+        with pytest.raises(ValidationError, match="level"):
+            ak.embedding_gradient([c.e for c in rows], [c.beta_hat for c in rows], se=[0.01] * 3,
+                                  level=level, weighted=weighted)
+
     def test_monte_carlo_recovery(self):
         # cohorts simulated around a known gradient; the CI covers the truth
         # in at least 90% of replicates
@@ -1461,6 +1493,12 @@ class TestEstimateHprime0:
     def test_degenerate_dv(self):
         with pytest.raises(DegenerateDesign):
             ak.estimate_hprime0([0.1, 0.2, 0.3], [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_level_outside_unit_interval_raises(self, level):
+        # before: level 1.0 gave ci (-inf, inf)
+        with pytest.raises(ValidationError, match="level"):
+            ak.estimate_hprime0([0.1, 0.3, 0.2, 0.5], [0.0, 1.0, 2.0, 3.0], level=level)
 
     def test_monte_carlo_recovery(self):
         truth = 0.073

@@ -11,7 +11,9 @@ from adoptkit.curves import ThetaTwoComp
 from adoptkit.errors import (
     RECOVERABLE,
     BinomialBoundary,
+    InsufficientData,
     NonConvergence,
+    NonMonotoneTime,
     PoissonBoundary,
     SingularNuisance,
     ValidationError,
@@ -306,6 +308,25 @@ class TestCrlbCheck:
     def test_replicate_floor(self):
         with pytest.raises(ValidationError):
             fisher.crlb_check(THETA, [0, 1, 2], GaussianIid(0.1), replicates=10)
+
+    @pytest.mark.parametrize("times, error", [
+        ([0.0, 1.0, 2.0, 10.0, 9.0, 20.0], NonMonotoneTime),
+        ([0.0, 1.0, 1.0, 10.0, 19.0, 20.0], NonMonotoneTime),
+        ([0.0, 1.0, 18.0, 20.0], InsufficientData),
+        ([0.0, 1.0, math.nan, 18.0, 19.0, 20.0], ValidationError),
+    ], ids=["back", "repeat", "four-points", "nan"])
+    def test_design_is_checked_before_any_replicate(self, monkeypatch, times, error):
+        # before: these designs drew and refit every replicate, then raised
+        # NonConvergence "100/100 refits failed"
+        from adoptkit import estimate
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a replicate was drawn or fit")
+
+        for module, name in [(fisher, "_sample_many"), (estimate, "_fit_cold_many"), (estimate, "fit_nls")]:
+            monkeypatch.setattr(module, name, unreachable)
+        with pytest.raises(error):
+            fisher.crlb_check(THETA, times, GaussianIid(0.05), replicates=100)
 
     @pytest.mark.parametrize("n_ok", [0, 1])
     def test_fewer_than_two_refits_raise(self, monkeypatch, n_ok):

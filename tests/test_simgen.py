@@ -134,6 +134,13 @@ class TestBenchmark:
             simgen.ScenarioGrid(thetas=(simgen.theta_for_depth(0.2),), error_models=(GaussianIid(0.05),),
                                 n_points=(21,), **field)
 
+    @pytest.mark.parametrize("k, n", [(3, 10), (0, 0)])
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.2, -0.5, float("nan")])
+    def test_wilson_level_outside_unit_interval_raises(self, level, k, n):
+        # before: level 1.2 gave (nan, nan), and n = 0 gave (0, 1) at any level
+        with pytest.raises(ValidationError, match="level"):
+            simgen.wilson_interval(k, n, level=level)
+
     def test_bitwise_reproducible_across_threads(self):
         grid = self.small_grid()
         a = simgen.run_benchmark(grid, threads=1)
